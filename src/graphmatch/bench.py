@@ -341,15 +341,14 @@ def _normalized(values) -> DistanceWeights:
 
 
 def _weighted_accuracy(train, validation, weights, align):
+    """1-NN validation accuracy, voting exactly as ``knn_classify`` does."""
     correct = 0
     for inst in validation.instances:
-        best = None
-        for other in train.instances:
-            d = geometric_graph_distance(inst.graph, other.graph, weights, align=align)
-            key = (d, other.source_id)
-            if best is None or key < best[0]:
-                best = (key, other.class_label)
-        if best is not None and best[1] == inst.class_label:
+        row = [
+            geometric_graph_distance(inst.graph, other.graph, weights, align=align)
+            for other in train.instances
+        ]
+        if _vote(row, train, 1) == inst.class_label:
             correct += 1
     return correct / len(validation.instances)
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 from .contraction import ContractionReport
 from .editdist import DEFAULT_PARAMS, EditCostParams, EditPath, ged
-from .graphs import (
-    AttributedGraph,
-    component_count,
-    connected_components,
-    is_cut_vertex,
-)
+from .graphs import AttributedGraph, connected_components, is_cut_vertex
 
 __all__ = [
     "CentralityVector",
@@ -165,16 +160,6 @@ def _rounds_contraction(g: AttributedGraph, rounds: int, measure: str):
     return current, removed
 
 
-def _contraction_report(g, out, removed) -> ContractionReport:
-    return ContractionReport(
-        removed=tuple(removed),
-        before_n=g.n,
-        after_n=out.n,
-        components_before=component_count(g),
-        components_after=component_count(out),
-    )
-
-
 def r_centrality_node_contraction(
     g: AttributedGraph, r: float, measure: str
 ) -> tuple[AttributedGraph, ContractionReport]:
@@ -182,7 +167,7 @@ def r_centrality_node_contraction(
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must be in [0, 1]")
     out, removed = _rounds_contraction(g, math.ceil(r * g.n), measure)
-    return out, _contraction_report(g, out, removed)
+    return out, ContractionReport.of(g, out, removed)
 
 
 def t_centrality_node_contraction(
@@ -192,7 +177,7 @@ def t_centrality_node_contraction(
     if t < 0:
         raise ValueError("t must be >= 0")
     out, removed = _rounds_contraction(g, t, measure)
-    return out, _contraction_report(g, out, removed)
+    return out, ContractionReport.of(g, out, removed)
 
 
 def r_centrality_ged(

@@ -32,7 +32,6 @@ from .editdist import (
 )
 from .graphs import (
     AttributedGraph,
-    GeometricGraph,
     canonical_edge,
     component_count,
     is_cut_vertex,
@@ -59,30 +58,16 @@ class ContractionReport:
     components_before: int
     components_after: int
 
-
-def _report(g: AttributedGraph, out: AttributedGraph, removed) -> ContractionReport:
-    return ContractionReport(
-        removed=tuple(removed),
-        before_n=g.n,
-        after_n=out.n,
-        components_before=component_count(g),
-        components_after=component_count(out),
-    )
-
-
-def _build(g: AttributedGraph, vertices, edges, edge_labels) -> AttributedGraph:
-    """A graph of the same concrete type on a vertex subset with new edges."""
-    node_labels = {v: g.node_labels[v] for v in vertices}
-    if isinstance(g, GeometricGraph):
-        return GeometricGraph(
-            vertices,
-            edges,
-            coords={v: g.coords[v] for v in vertices},
-            node_labels=node_labels,
-            edge_labels=edge_labels,
-            empty_edges=g.empty_edges,
+    @classmethod
+    def of(cls, g: AttributedGraph, out: AttributedGraph, removed) -> "ContractionReport":
+        """The report of contracting ``g`` to ``out`` by removing ``removed``."""
+        return cls(
+            removed=tuple(removed),
+            before_n=g.n,
+            after_n=out.n,
+            components_before=component_count(g),
+            components_after=component_count(out),
         )
-    return AttributedGraph(vertices, edges, node_labels=node_labels, edge_labels=edge_labels)
 
 
 # -- path contraction --------------------------------------------------------
@@ -199,9 +184,9 @@ def _contract_runs(g: AttributedGraph):
                 lay(path)
 
     keep_order = [v for v in g.vertices if v not in interior or v in survivors]
-    contracted = _build(g, keep_order, list(edges), edges)
+    contracted = g._rebuild(keep_order, list(edges), edges)
     removed = sorted(interior - survivors)
-    return contracted, _report(g, contracted, removed), segments
+    return contracted, ContractionReport.of(g, contracted, removed), segments
 
 
 def path_contract(g: AttributedGraph) -> tuple[AttributedGraph, ContractionReport]:
@@ -295,19 +280,19 @@ def k_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, Con
     if k < 0:
         raise ValueError("k must be >= 0")
     out, removed = _degree_sweep(g, k, guarded=True)
-    return out, _report(g, out, removed)
+    return out, ContractionReport.of(g, out, removed)
 
 
 def k_star_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:
     """Degree-1 through degree-k contraction sweeps, each on the last result."""
     out, removed = _cascade(g, k, guarded=True)
-    return out, _report(g, out, removed)
+    return out, ContractionReport.of(g, out, removed)
 
 
 def k_star_node_deletion(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:
     """The degree-1..k cascade without the guard; components may split."""
     out, removed = _cascade(g, k, guarded=False)
-    return out, _report(g, out, removed)
+    return out, ContractionReport.of(g, out, removed)
 
 
 def k_star_ged(

@@ -7,11 +7,14 @@ features extracted per edge:
 * length;
 * the two endpoints in canonical order ("left" = smaller x, tie on y).
 
-Per matched edge pair the framework uses three terms: E^A, the absolute
-angle difference converted to radians; E^L, the absolute length difference;
-E^P, the mean distance between corresponding canonical endpoints.  The plain
-edge distance sums E^A + E^L over an optimal assignment, the metric variant
-adds E^P; both come together with the vertex term into GD and GDM.
+Every distance here is a setting of one weighted family,
+w1 * VD + sum(w2 * E^A + w3 * E^L + w4 * E^P) over an optimal edge
+assignment.  VD is the minimal total vertex movement; per matched edge pair,
+E^A is the absolute angle difference in radians, E^L the absolute length
+difference, E^P the mean distance between corresponding canonical endpoints.
+The edge distance ED is the (., 1, 1, 0) setting and its metric variant EDM
+the (., 1, 1, 1) setting; GD and GDM add VD at w1 = 1.  Weights of 1 and 0
+are exact, so these equal the weighted distance bit for bit.
 
 Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" features
@@ -96,40 +99,42 @@ def edge_features(g: GeometricGraph) -> list[EdgeFeature]:
     return feats
 
 
-def _angle_term(a: EdgeFeature, b: EdgeFeature) -> float:
-    return abs(a.theta - b.theta) * math.pi / 180.0
+@dataclass(frozen=True)
+class DistanceWeights:
+    """Term weights of the weighted geometric distance (all >= 0)."""
+
+    w1: float = 1.0  # vertex term
+    w2: float = 1.0  # edge angle term
+    w3: float = 1.0  # edge length term
+    w4: float = 1.0  # edge position term
+
+    def __post_init__(self):
+        for name in ("w1", "w2", "w3", "w4"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.w1, self.w2, self.w3, self.w4)
 
 
-def _length_term(a: EdgeFeature, b: EdgeFeature) -> float:
-    return abs(a.length - b.length)
-
-
-def _position_term(a: EdgeFeature, b: EdgeFeature) -> float:
-    return (math.dist(a.left, b.left) + math.dist(a.right, b.right)) / 2.0
+_ED_WEIGHTS = DistanceWeights(w4=0.0)
+_EDM_WEIGHTS = DistanceWeights()
 
 
 def _edge_cost_matrix(
-    feats1: list[EdgeFeature],
-    feats2: list[EdgeFeature],
-    position: bool,
-    weights: "DistanceWeights | None" = None,
+    feats1: list[EdgeFeature], feats2: list[EdgeFeature], weights: DistanceWeights
 ) -> np.ndarray:
-    n = len(feats1)
-    matrix = np.zeros((n, n))
-    for i, a in enumerate(feats1):
-        for j, b in enumerate(feats2):
-            if weights is None:
-                c = _angle_term(a, b) + _length_term(a, b)
-                if position:
-                    c += _position_term(a, b)
-            else:
-                c = (
-                    weights.w2 * _angle_term(a, b)
-                    + weights.w3 * _length_term(a, b)
-                    + weights.w4 * _position_term(a, b)
-                )
-            matrix[i, j] = c
-    return matrix
+    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of edge features (the
+    one place these terms are computed)."""
+    a, b = (
+        np.array([(f.theta, f.length, *f.left, *f.right) for f in feats]).reshape(-1, 6)
+        for feats in (feats1, feats2)
+    )
+    d = a[:, None, :] - b[None, :, :]
+    angle = np.abs(d[..., 0]) * math.pi / 180.0
+    length = np.abs(d[..., 1])
+    position = (np.hypot(d[..., 2], d[..., 3]) + np.hypot(d[..., 4], d[..., 5])) / 2.0
+    return weights.w2 * angle + weights.w3 * length + weights.w4 * position
 
 
 # -- elementary distances ----------------------------------------------------
@@ -138,12 +143,9 @@ def _edge_cost_matrix(
 def _vertex_assignment(g1: GeometricGraph, g2: GeometricGraph) -> tuple[float, Assignment]:
     if g1.n != g2.n:
         raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    if g1.n == 0:
-        return 0.0, Assignment((), 0.0)
-    c1 = [g1.coords[v] for v in g1.vertices]
-    c2 = [g2.coords[v] for v in g2.vertices]
-    matrix = np.array([[math.dist(p, q) for q in c2] for p in c1])
-    assignment = solve_lsap(matrix)
+    c1, c2 = (np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2) for g in (g1, g2))
+    d = c1[:, None, :] - c2[None, :, :]
+    assignment = solve_lsap(np.hypot(d[..., 0], d[..., 1]))
     return assignment.total_cost, assignment
 
 
@@ -153,30 +155,25 @@ def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
 
 
 def _edge_assignment(
-    g1: GeometricGraph,
-    g2: GeometricGraph,
-    position: bool,
-    weights: "DistanceWeights | None" = None,
+    g1: GeometricGraph, g2: GeometricGraph, weights: DistanceWeights
 ) -> tuple[float, Assignment]:
     feats1, feats2 = edge_features(g1), edge_features(g2)
     if len(feats1) != len(feats2):
         raise ValueError(
             f"unequal edge counts ({len(feats1)} vs {len(feats2)}); pad first"
         )
-    if not feats1:
-        return 0.0, Assignment((), 0.0)
-    assignment = solve_lsap(_edge_cost_matrix(feats1, feats2, position, weights))
+    assignment = solve_lsap(_edge_cost_matrix(feats1, feats2, weights))
     return assignment.total_cost, assignment
 
 
 def edge_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Optimal-assignment sum of angle and length differences."""
-    return _edge_assignment(g1, g2, position=False)[0]
+    return _edge_assignment(g1, g2, _ED_WEIGHTS)[0]
 
 
 def edge_distance_metric(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Like edge_distance but with the endpoint-position term added."""
-    return _edge_assignment(g1, g2, position=True)[0]
+    return _edge_assignment(g1, g2, _EDM_WEIGHTS)[0]
 
 
 def graph_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
@@ -285,18 +282,6 @@ def _has_alignable_edge(g: GeometricGraph) -> bool:
     )
 
 
-def _reference_edge(g: GeometricGraph) -> tuple[int, int]:
-    """The longest edge of g; ties go to the first in canonical edge order."""
-    best, best_len = None, -1.0
-    for u, v in g.edges:
-        length = math.dist(g.coords[u], g.coords[v])
-        if length > best_len:
-            best, best_len = (u, v), length
-    if best is None or best_len == 0.0:
-        raise ValueError("graph has no edge of positive length to align on")
-    return best
-
-
 def graph_alignment(
     g1: GeometricGraph, g2: GeometricGraph, variant: str = "ed"
 ) -> GeometricGraph:
@@ -312,23 +297,23 @@ def graph_alignment(
         raise ValueError(f"unknown alignment variant {variant!r}")
     if not _has_alignable_edge(g1) or not _has_alignable_edge(g2):
         raise ValueError("alignment needs a positive-length edge in both graphs")
-    position = variant == "edm"
-    eu, ev = _reference_edge(g1)
-    ref = edge_feature(g1.coords[eu], g1.coords[ev])
+    # the primary score first, the position-aware tie-break score last
+    score_weights = (_EDM_WEIGHTS,) if variant == "edm" else (_ED_WEIGHTS, _EDM_WEIGHTS)
     feats1 = edge_features(g1)
-
-    def score(candidate: GeometricGraph, with_position: bool) -> float:
-        feats2 = edge_features(candidate)
-        n = max(len(feats1), len(feats2))
-        a = feats1 + [empty_edge_feature(g1.mean_coord())] * (n - len(feats1))
-        b = feats2 + [empty_edge_feature(candidate.mean_coord())] * (n - len(feats2))
-        if n == 0:
-            return 0.0
-        return solve_lsap(_edge_cost_matrix(a, b, with_position)).total_cost
+    # g1's longest edge; ties go to the first in canonical edge order
+    ref = max(feats1, key=lambda f: f.length)
+    # every candidate keeps g2's edge slots, so g1's side is padded once
+    n = max(len(feats1), g2.m + g2.empty_edges)
+    feats1 += [empty_edge_feature(g1.mean_coord())] * (n - len(feats1))
 
     def scores(candidate: GeometricGraph) -> tuple[float, float]:
-        primary = score(candidate, position)
-        return primary, primary if position else score(candidate, True)
+        feats2 = edge_features(candidate)
+        feats2 += [empty_edge_feature(candidate.mean_coord())] * (n - len(feats2))
+        costs = [
+            solve_lsap(_edge_cost_matrix(feats1, feats2, w)).total_cost
+            for w in score_weights
+        ]
+        return costs[0], costs[-1]
 
     # The slope angle is blind to 180-degree rotations, so a point-reflected
     # candidate ties the true inverse on ED; among near-ties the smaller
@@ -350,24 +335,6 @@ def graph_alignment(
 
 
 # -- verdicts and weighted distance ------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistanceWeights:
-    """Term weights of the weighted geometric distance (all >= 0)."""
-
-    w1: float = 1.0  # vertex term
-    w2: float = 1.0  # edge angle term
-    w3: float = 1.0  # edge length term
-    w4: float = 1.0  # edge position term
-
-    def __post_init__(self):
-        for name in ("w1", "w2", "w3", "w4"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w1, self.w2, self.w3, self.w4)
 
 
 @dataclass(frozen=True)
@@ -415,7 +382,7 @@ def geometric_graph_isomorphism(
     if _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "ed")
     vd, vassign = _vertex_assignment(p1, p2)
-    ed, eassign = _edge_assignment(p1, p2, position=False)
+    ed, eassign = _edge_assignment(p1, p2, _ED_WEIGHTS)
     gd = vd + ed
     if not sizes_match:
         return GeometricIsomorphism("distance", gd, vassign.pairs)
@@ -425,12 +392,9 @@ def geometric_graph_isomorphism(
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
-        _, tie_broken = _edge_assignment(p1, p2, position=True)
-        feats1, feats2 = edge_features(p1), edge_features(p2)
-        retry_cost = sum(
-            _angle_term(feats1[i], feats2[j]) + _length_term(feats1[i], feats2[j])
-            for i, j in tie_broken.pairs
-        )
+        _, tie_broken = _edge_assignment(p1, p2, _EDM_WEIGHTS)
+        ed_costs = _edge_cost_matrix(edge_features(p1), edge_features(p2), _ED_WEIGHTS)
+        retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= ed + 1e-9:
             consistent = _edge_endpoints_consistent(
                 p1, p2, vassign.pairs, tie_broken.pairs
@@ -466,5 +430,5 @@ def geometric_graph_distance(
     if align and _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "edm")
     vd = vertex_distance(p1, p2)
-    ed, _ = _edge_assignment(p1, p2, position=True, weights=weights)
+    ed, _ = _edge_assignment(p1, p2, weights)
     return weights.w1 * vd + ed

@@ -140,15 +140,17 @@ class AttributedGraph:
         gone = set(drop)
         keep = [v for v in self.vertices if v not in gone]
         edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
-        return self._rebuild(keep, edges)
+        return self._rebuild(keep, edges, {e: self.edge_labels[e] for e in edges})
 
     def with_edges(self, edges: Iterable[Sequence[int]]) -> "AttributedGraph":
         """Same vertices, replaced edge set.  Labels of surviving edges kept."""
         new_edges = [canonical_edge(*e) for e in edges]
-        return self._rebuild(self.vertices, new_edges)
+        kept = {e: self.edge_labels[e] for e in new_edges if e in self.edge_labels}
+        return self._rebuild(self.vertices, new_edges, kept)
 
-    def _rebuild(self, vertices, edges):
-        edge_labels = {e: self.edge_labels[e] for e in edges if e in self.edge_labels}
+    def _rebuild(self, vertices, edges, edge_labels):
+        """A graph of the same type on ``vertices`` with the given edges and
+        edge labels; vertex attributes are carried over."""
         return AttributedGraph(
             vertices,
             edges,
@@ -200,8 +202,7 @@ class GeometricGraph(AttributedGraph):
         sy = sum(self.coords[v][1] for v in self.vertices)
         return (sx / self.n, sy / self.n)
 
-    def _rebuild(self, vertices, edges):
-        edge_labels = {e: self.edge_labels[e] for e in edges if e in self.edge_labels}
+    def _rebuild(self, vertices, edges, edge_labels):
         return GeometricGraph(
             vertices,
             edges,

@@ -604,6 +604,19 @@ class TestGeometricGraphDistance:
                 graph_distance_metric(*padded)
             )
 
+    def test_named_distances_are_exact_weight_settings(self):
+        # weights of 1 and 0 are exact, so GDM and GD equal the weighted
+        # distance bit for bit
+        rng = random.Random(97)
+        for _ in range(30):
+            g1 = random_geometric(rng, rng.randint(1, 6))
+            g2 = random_geometric(rng, rng.randint(1, 6))
+            p1, p2 = pad_to_equal(g1, g2)
+            assert graph_distance_metric(p1, p2) == geometric_graph_distance(g1, g2)
+            assert graph_distance(p1, p2) == geometric_graph_distance(
+                g1, g2, DistanceWeights(1, 1, 1, 0)
+            )
+
     def test_matches_weighted_permutation_oracle(self):
         rng = random.Random(83)
         w = DistanceWeights(0.35, 0.23, 0.11, 0.31)
