@@ -52,6 +52,13 @@ def _cost_params(text: str | None) -> EditCostParams:
     return EditCostParams(*(float(p) for p in parts))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _weights(text: str | None) -> DistanceWeights:
     if text is None:
         return DistanceWeights(0.25, 0.25, 0.25, 0.25)
@@ -259,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory holding the GXL files")
     p.add_argument("--profile", choices=PROFILES, default="letter")
     p.add_argument("--method", required=True, help="matcher spec, e.g. kstar-ged(1)")
-    p.add_argument("--knn", type=int, default=1)
+    p.add_argument("--knn", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--audit", action="store_true", help="re-check predictions")
     p.add_argument("--cost", help="x_node,y_node,x_edge,y_edge,z_path")
     p.set_defaults(run=_cmd_classify)
@@ -275,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="GXL directory (defaults to the index directory)")
     p.add_argument("--profile", choices=PROFILES, default="letter")
     p.add_argument("--methods", required=True, help="comma-separated matcher specs")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--limit", type=int, default=50, help="max pairs")
+    p.add_argument("--reps", type=positive_int, default=3)
+    p.add_argument("--limit", type=positive_int, default=50, help="max pairs")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--distances-out", help="optional per-pair distance CSV")
     p.add_argument("--cost", help="x_node,y_node,x_edge,y_edge,z_path")

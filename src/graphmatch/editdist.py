@@ -15,14 +15,20 @@ and insertions plus the edge operations they induce.  Costs:
 Deletions can be exempted (cost 0) for chosen vertices; ``extended_exemption``
 builds the set for the degree-k, non-cut-vertex rule.
 
-The exact search processes g1's vertices in their stored order; each tree
-level either maps the next vertex onto an unused g2 vertex or deletes it, and
-leftover g2 vertices are inserted when a leaf is reached.  With h = 0 this is
-uniform-cost search, which is what ``ged`` runs by default; an admissible
-unmatched-node-count heuristic can be switched on.  ``beam_width`` keeps only
-w partial paths per level, picked so that widening the beam never drops a
-narrower beam's survivors; the result is an upper bound on the exact distance
-that is nonincreasing in w.
+The tree search processes g1's vertices in their stored order; each level
+either maps the next vertex onto an unused g2 vertex or deletes it, and
+leftover g2 vertices are inserted when a leaf is reached.  Expansions read
+index tables (node costs, edge ids, edge costs, bitmasks) built once per
+call, never the graph objects.  The exact search is A* under one admissible
+count bound: unmatched vertices on either side, less the free deletions left,
+plus the gap between g1's edges inside the unprocessed suffix and g2's edges
+between unused vertices.  It returns an optimal path; when several paths tie
+for the optimum, which one comes back depends on the bound, so a tied
+mapping may differ from the one an uninformed search would return.
+``beam_width`` keeps only w partial paths per level, ranked on the path cost
+alone and picked so that widening the beam never drops a narrower beam's
+survivors; the result is an upper bound on the exact distance that is
+nonincreasing in w.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ def label_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class EditCostParams:
-    """Nonnegative cost constants of the edit model."""
+    """Finite, nonnegative cost constants of the edit model."""
 
     x_node: float = 1.0
     y_node: float = 1.0
@@ -66,8 +72,9 @@ class EditCostParams:
 
     def __post_init__(self):
         for name in ("x_node", "y_node", "x_edge", "y_edge", "z_path"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_PARAMS = EditCostParams()
@@ -204,91 +211,131 @@ def path_from_mapping(
 
 
 class _SearchContext:
-    """Precomputed tables shared by every node expansion."""
+    """Index tables built once per search and read by every expansion.
+
+    Positions i (into ``g1.vertices``) and j (into ``g2.vertices``) stand for
+    vertices; a mapping is a tuple whose q-th entry is the g2 position of
+    g1's q-th vertex, or -1 when that vertex is deleted.  Edge rows use -1
+    for "no edge" too, and every -1 lands on a trailing sentinel entry, so
+    expansions never branch on edge existence.
+    """
 
     def __init__(self, g1, g2, params, exempt):
         self.params = params
-        self.u_list = g1.vertices
-        self.v_list = g2.vertices
-        self.n1 = len(self.u_list)
-        self.n2 = len(self.v_list)
-        self.g1 = g1
-        self.g2 = g2
-        self.u_labels = [g1.node_label(u) for u in self.u_list]
-        self.v_labels = [g2.node_label(v) for v in self.v_list]
-        self.exempt_flags = [
-            exempt is not None and exempt.exempt(u) for u in self.u_list
+        self.g1, self.g2, self.exempt = g1, g2, exempt
+        self.u_list, self.v_list = g1.vertices, g2.vertices
+        n1 = self.n1 = len(self.u_list)
+        n2 = self.n2 = len(self.v_list)
+        v_labels = [g2.node_label(v) for v in self.v_list]
+        self.node_cost = [
+            [params.y_node * label_distance(g1.node_label(u), b) for b in v_labels]
+            for u in self.u_list
         ]
-        # Remaining-exempt counts for the admissible heuristic.
-        self.exempt_suffix = [0] * (self.n1 + 1)
-        for i in range(self.n1 - 1, -1, -1):
-            self.exempt_suffix[i] = self.exempt_suffix[i + 1] + (
-                1 if self.exempt_flags[i] else 0
-            )
+        # edge_cost[a][b]: g1 edge a against g2 edge b; the trailing row and
+        # column (index -1) price a lone deletion or insertion.
+        edge_cost = [
+            [params.y_edge * label_distance(g1.edge_labels[e], g2.edge_labels[f])
+             for f in g2.edges] + [params.x_edge]
+            for e in g1.edges
+        ]
+        edge_cost.append([params.x_edge] * g2.m + [0.0])
+        # edge_rows1[i][q]: the edge_cost row of g1's pair (i, q).
+        ids1 = _edge_ids(g1)
+        self.edge_rows1 = [[edge_cost[a] for a in row] for row in ids1]
+        # edge_ids2[j][k]: g2's edge between j and k, or -1; entry n2 (read
+        # as index -1 by a deleted vertex) is -1.
+        self.edge_ids2 = [row + [-1] for row in _edge_ids(g2)]
+
+        exempt_flags = [exempt is not None and exempt.exempt(u) for u in self.u_list]
+        self.delete_cost = []
+        for i in range(n1):
+            cost = 0.0 if exempt_flags[i] else params.x_node
+            for q in range(i):
+                if ids1[i][q] >= 0:
+                    cost += params.x_edge
+            self.delete_cost.append(cost)
+
+        # The bound's node part depends only on i and the number of used g2
+        # vertices; its edge part needs the g1 edges with both endpoints at
+        # position >= i (inner1) and the g2 edges between unused vertices.
+        exempt_suffix = [0] * (n1 + 1)
+        self.inner1 = [0] * (n1 + 1)
+        for i in range(n1 - 1, -1, -1):
+            exempt_suffix[i] = exempt_suffix[i + 1] + exempt_flags[i]
+            self.inner1[i] = self.inner1[i + 1] + sum(a >= 0 for a in ids1[i][i + 1:])
+        self.node_bound = [
+            [
+                params.x_node * max(0, (n2 - k) - (n1 - i))
+                + params.x_node * max(0, (n1 - i) - (n2 - k) - exempt_suffix[i])
+                for k in range(n2 + 1)
+            ]
+            for i in range(n1 + 1)
+        ]
+        pos2 = {v: j for j, v in enumerate(self.v_list)}
+        self.edge_masks2 = [1 << pos2[a] | 1 << pos2[b] for a, b in g2.edges]
+        self.adj2 = [sum(1 << pos2[w] for w in g2.neighbors(v)) for v in self.v_list]
+        self._free_edges: dict[int, int] = {}
 
     def substitute_delta(self, mapping: tuple, i: int, j: int) -> float:
         """Cost of mapping u_i onto v_j on top of the processed prefix."""
-        p = self.params
-        u, v = self.u_list[i], self.v_list[j]
-        cost = p.y_node * label_distance(self.u_labels[i], self.v_labels[j])
-        for q in range(i):
-            uq = self.u_list[q]
-            e1 = self.g1.has_edge(u, uq)
-            jq = mapping[q]
-            if jq is None:
-                if e1:
-                    cost += p.x_edge
-                continue
-            vq = self.v_list[jq]
-            e2 = self.g2.has_edge(v, vq)
-            if e1 and e2:
-                cost += p.y_edge * label_distance(
-                    self.g1.edge_label(u, uq), self.g2.edge_label(v, vq)
-                )
-            elif e1 or e2:
-                cost += p.x_edge
+        cost = self.node_cost[i][j]
+        ids2 = self.edge_ids2[j]
+        for row, jq in zip(self.edge_rows1[i], mapping):
+            cost += row[ids2[jq]]
         return cost
 
     def delete_delta(self, i: int) -> float:
         """Cost of deleting u_i: the node plus its edges into the prefix."""
-        p = self.params
-        u = self.u_list[i]
-        cost = 0.0 if self.exempt_flags[i] else p.x_node
-        for q in range(i):
-            if self.g1.has_edge(u, self.u_list[q]):
-                cost += p.x_edge
-        return cost
+        return self.delete_cost[i]
 
     def completion_delta(self, used: int) -> float:
         """Insert every unused g2 vertex and each edge touching one."""
         p = self.params
-        unused = [j for j in range(self.n2) if not used >> j & 1]
-        cost = p.x_node * len(unused)
-        unused_ids = {self.v_list[j] for j in unused}
-        for (a, b) in self.g2.edges:
-            if a in unused_ids or b in unused_ids:
+        cost = p.x_node * (self.n2 - used.bit_count())
+        for mask in self.edge_masks2:
+            if used & mask != mask:
                 cost += p.x_edge
         return cost
 
+    def free_edges(self, used: int) -> int:
+        """Number of g2 edges with both endpoints outside ``used``."""
+        count = self._free_edges.get(used)
+        if count is None:
+            free = ~used
+            count = sum(
+                (self.adj2[j] & free).bit_count()
+                for j in range(self.n2)
+                if free >> j & 1
+            ) // 2
+            self._free_edges[used] = count
+        return count
+
     def heuristic(self, i: int, used: int) -> float:
-        rem1 = self.n1 - i
-        rem2 = self.n2 - bin(used).count("1")
-        h = self.params.x_node * max(0, rem2 - rem1)
-        paid_deletions = max(0, (rem1 - rem2) - self.exempt_suffix[i])
-        return h + self.params.x_node * paid_deletions
+        """Admissible bound on the cost of completing a prefix of length i.
+
+        Node part: unmatched vertices on the larger side, less the free
+        deletions left.  Edge part: each g1 edge inside the unprocessed
+        suffix is substituted onto a g2 edge between two unused vertices or
+        paid for, and vice versa; every other edge cost is nonnegative.
+        """
+        return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
+            self.inner1[i] - self.free_edges(used)
+        )
 
     def finish(self, mapping: tuple) -> EditPath:
         as_dict = {
-            self.u_list[i]: self.v_list[j]
-            for i, j in enumerate(mapping)
-            if j is not None
+            self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
-        exempt = DeletionExemption(
-            frozenset(
-                u for u, flag in zip(self.u_list, self.exempt_flags) if flag
-            )
-        )
-        return path_from_mapping(self.g1, self.g2, as_dict, self.params, exempt)
+        return path_from_mapping(self.g1, self.g2, as_dict, self.params, self.exempt)
+
+
+def _edge_ids(g: AttributedGraph) -> list[list[int]]:
+    """Position-by-position edge indices into ``g.edges``, -1 for no edge."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    ids = [[-1] * g.n for _ in range(g.n)]
+    for k, (a, b) in enumerate(g.edges):
+        ids[pos[a]][pos[b]] = ids[pos[b]][pos[a]] = k
+    return ids
 
 
 def ged(
@@ -297,7 +344,6 @@ def ged(
     params: EditCostParams = DEFAULT_PARAMS,
     *,
     beam_width: int | None = None,
-    use_heuristic: bool = False,
     exempt: DeletionExemption | None = None,
 ) -> EditPath:
     """Graph edit distance between g1 and g2.
@@ -311,14 +357,13 @@ def ged(
     ctx = _SearchContext(g1, g2, params, exempt)
     if beam_width is not None:
         return _beam(ctx, beam_width)
-    return _astar(ctx, use_heuristic)
+    return _astar(ctx)
 
 
-def _astar(ctx: _SearchContext, use_heuristic: bool) -> EditPath:
+def _astar(ctx: _SearchContext) -> EditPath:
     counter = itertools.count()
     # Entries: (f, -depth, seq, cost, i, used, mapping, completed)
-    h0 = ctx.heuristic(0, 0) if use_heuristic else 0.0
-    heap = [(h0, 0, next(counter), 0.0, 0, 0, (), False)]
+    heap = [(ctx.heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]
     while heap:
         f, _, _, cost, i, used, mapping, completed = heapq.heappop(heap)
         if completed:
@@ -337,16 +382,16 @@ def _astar(ctx: _SearchContext, use_heuristic: bool) -> EditPath:
                 continue
             c = cost + ctx.substitute_delta(mapping, i, j)
             nused = used | (1 << j)
-            h = ctx.heuristic(i + 1, nused) if use_heuristic else 0.0
+            h = ctx.heuristic(i + 1, nused)
             heapq.heappush(
                 heap,
                 (c + h, -(i + 1), next(counter), c, i + 1, nused, mapping + (j,), False),
             )
         c = cost + ctx.delete_delta(i)
-        h = ctx.heuristic(i + 1, used) if use_heuristic else 0.0
+        h = ctx.heuristic(i + 1, used)
         heapq.heappush(
             heap,
-            (c + h, -(i + 1), next(counter), c, i + 1, used, mapping + (None,), False),
+            (c + h, -(i + 1), next(counter), c, i + 1, used, mapping + (-1,), False),
         )
     raise RuntimeError("search exhausted without a complete path")  # pragma: no cover
 
@@ -377,7 +422,7 @@ def _beam(ctx: _SearchContext, width: int) -> EditPath:
                     ),
                 )
             heapq.heappush(
-                heap, (cost + ctx.delete_delta(i), next(counter), used, mapping + (None,))
+                heap, (cost + ctx.delete_delta(i), next(counter), used, mapping + (-1,))
             )
             kept.append(heapq.heappop(heap))
         while len(kept) < width and heap:

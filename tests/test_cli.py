@@ -124,10 +124,39 @@ class TestClassify:
         )
         assert code == 2
 
+    def test_non_finite_cost_flag(self, tmp_path, capsys):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
+        code = run(
+            "classify",
+            "--train", train_index,
+            "--test", train_index,
+            "--data", data,
+            "--method", "ged",
+            "--cost", "nan,1,1,1,1",
+            "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_required_flag_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:
             run("classify", "--train", "x.cxl")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--knn", "--jobs"])
+    def test_count_below_one_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "classify",
+                "--train", "x.cxl",
+                "--test", "x.cxl",
+                "--data", ".",
+                "--method", "ged",
+                "--out", "x.csv",
+                flag, -3 if flag == "--jobs" else 0,
+            )
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
 class TestBench:
@@ -166,6 +195,20 @@ class TestBench:
         dist_rows = read_csv(distances)
         assert len(dist_rows) == 5
         assert {r["method"] for r in dist_rows} == {"bipartite"}
+
+    @pytest.mark.parametrize("flag, value", [("--limit", -1), ("--limit", 0), ("--reps", 0)])
+    def test_count_below_one_rejected(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "bench",
+                "--pairs", "synth:1x2:0:1",
+                "--methods", "ged",
+                "--out", tmp_path / "bench.csv",
+                flag, value,
+            )
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_single_graph_gives_empty_summary(self, tmp_path):
         out = tmp_path / "bench.csv"

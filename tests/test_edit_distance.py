@@ -10,6 +10,7 @@ import pytest
 
 from graphmatch.editdist import (
     DEFAULT_PARAMS,
+    _SearchContext,
     DeletionExemption,
     EditCostParams,
     EditOp,
@@ -166,6 +167,12 @@ class TestEditCost:
         with pytest.raises(ValueError):
             EditCostParams(x_node=-0.1)
 
+    def test_non_finite_params_rejected(self):
+        with pytest.raises(ValueError):
+            EditCostParams(x_node=float("nan"))
+        with pytest.raises(ValueError):
+            EditCostParams(x_edge=float("inf"))
+
 
 class TestExtendedExemption:
     def test_leaves_exempt_cut_vertices_not(self):
@@ -295,9 +302,8 @@ class TestExactGed:
         for _ in range(25):
             g1 = labeled_graph(rng, rng.randrange(5), 0.5)
             g2 = labeled_graph(rng, rng.randrange(5), 0.5)
-            plain = ged(g1, g2).total_cost
-            guided = ged(g1, g2, use_heuristic=True).total_cost
-            assert guided == pytest.approx(plain)
+            guided = ged(g1, g2).total_cost
+            assert guided == pytest.approx(oracle_ged(g1, g2))
 
     def test_heuristic_with_exemption(self):
         rng = random.Random(59)
@@ -305,9 +311,8 @@ class TestExactGed:
             g1 = random_graph(5, 0.5, seed=rng.randrange(10**9))
             g2 = random_graph(3, 0.5, seed=rng.randrange(10**9))
             ex = extended_exemption(g1, 1)
-            plain = ged(g1, g2, exempt=ex).total_cost
-            guided = ged(g1, g2, exempt=ex, use_heuristic=True).total_cost
-            assert guided == pytest.approx(plain)
+            guided = ged(g1, g2, exempt=ex).total_cost
+            assert guided == pytest.approx(oracle_ged(g1, g2, exempt=ex.vertices))
 
     def test_exemption_matches_oracle(self):
         rng = random.Random(61)
@@ -346,6 +351,123 @@ class TestExactGed:
                 op.source for op in path.ops if op.kind in ("edge_sub", "edge_del")
             }
             assert edge_sources == set(g1.edges)
+
+
+# -- search tables and bound ------------------------------------------------
+
+
+def _reference_deltas(g1, g2, params, mapping, i, j):
+    """Substitution and deletion deltas asked of the graph objects directly.
+
+    The loop the search tables replace; a mapping holds -1 for a deleted
+    vertex.  The tables must give the same floats, bit for bit.
+    """
+    u, v = g1.vertices[i], g2.vertices[j]
+    sub = params.y_node * label_distance(g1.node_label(u), g2.node_label(v))
+    dele = params.x_node
+    for q in range(i):
+        uq = g1.vertices[q]
+        e1 = g1.has_edge(u, uq)
+        if e1:
+            dele += params.x_edge
+        if mapping[q] < 0:
+            if e1:
+                sub += params.x_edge
+            continue
+        vq = g2.vertices[mapping[q]]
+        e2 = g2.has_edge(v, vq)
+        if e1 and e2:
+            sub += params.y_edge * label_distance(
+                g1.edge_label(u, uq), g2.edge_label(v, vq)
+            )
+        elif e1 or e2:
+            sub += params.x_edge
+    return sub, dele
+
+
+def _enumerate_prefixes(ctx, check):
+    """Walk every complete mapping; call ``check(g, i, used, best)`` at each
+    prefix, where ``best`` is the cheapest total among its completions."""
+
+    def walk(i, used, mapping, g):
+        if i == ctx.n1:
+            best = g + ctx.completion_delta(used)
+        else:
+            best = walk(i + 1, used, mapping + (-1,), g + ctx.delete_delta(i))
+            for j in range(ctx.n2):
+                if not used >> j & 1:
+                    c = g + ctx.substitute_delta(mapping, i, j)
+                    best = min(best, walk(i + 1, used | 1 << j, mapping + (j,), c))
+        check(g, i, used, best)
+        return best
+
+    return walk(0, 0, (), 0.0)
+
+
+BOUND_PARAMS = (
+    DEFAULT_PARAMS,
+    EditCostParams(x_node=0.7, y_node=1.3, x_edge=0.4, y_edge=0.9),
+)
+
+
+class TestSearchBound:
+    def test_tables_match_graph_queries_exactly(self):
+        rng = random.Random(103)
+        for params in BOUND_PARAMS:
+            for _ in range(20):
+                g1 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
+                ctx = _SearchContext(g1, g2, params, None)
+                for i in range(g1.n):
+                    mapping = tuple(rng.randrange(-1, g2.n) for _ in range(i))
+                    for j in range(g2.n):
+                        sub, dele = _reference_deltas(g1, g2, params, mapping, i, j)
+                        assert ctx.substitute_delta(mapping, i, j) == sub
+                        assert ctx.delete_delta(i) == dele
+
+    def test_bound_is_admissible_at_every_prefix(self):
+        rng = random.Random(107)
+        checked = 0
+
+        def check(g, i, used, best):
+            nonlocal checked
+            checked += 1
+            assert g + ctx.heuristic(i, used) <= best + 1e-9
+
+        for params in BOUND_PARAMS:
+            for _ in range(80):
+                g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
+                ctx = _SearchContext(g1, g2, params, None)
+                _enumerate_prefixes(ctx, check)
+        for _ in range(80):
+            g1 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
+            g2 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
+            ctx = _SearchContext(g1, g2, DEFAULT_PARAMS, extended_exemption(g1, 1))
+            best = _enumerate_prefixes(ctx, check)
+            exempt = extended_exemption(g1, 1).vertices
+            assert best == pytest.approx(oracle_ged(g1, g2, exempt=exempt))
+        assert checked > 100_000
+
+    def test_exact_matches_oracle_up_to_six_vertices(self):
+        rng = random.Random(109)
+        for params in BOUND_PARAMS:
+            for _ in range(8):
+                g1 = labeled_graph(rng, rng.randrange(7), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(7), 0.5)
+                expected = oracle_ged(g1, g2, params)
+                assert ged(g1, g2, params).total_cost == pytest.approx(expected)
+
+    def test_root_bound_below_exact_below_bipartite(self):
+        rng = random.Random(113)
+        for params in BOUND_PARAMS:
+            for _ in range(30):
+                g1 = labeled_graph(rng, rng.randrange(7), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(7), 0.5)
+                root = _SearchContext(g1, g2, params, None).heuristic(0, 0)
+                exact = ged(g1, g2, params).total_cost
+                assert root <= exact + 1e-9
+                assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9
 
 
 # -- beam search ---------------------------------------------------------
