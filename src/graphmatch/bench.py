@@ -9,6 +9,7 @@ steepest-ascent search over the geometric distance weights.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 import time
@@ -369,8 +370,8 @@ def tune_weights(
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     current = _normalized(start.as_tuple())
     current_accuracy = _weighted_accuracy(train, validation, current, align)
     while True:

@@ -13,9 +13,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .contraction import ContractionReport
+from .contraction import ContractionReport, _sweep
 from .editdist import DEFAULT_PARAMS, EditCostParams, EditPath, ged
-from .graphs import AttributedGraph, connected_components, is_cut_vertex
+from .graphs import AttributedGraph, connected_components
+from .graphs import is_cut_vertex  # noqa: F401 -- perfbench/tracing.py wraps this name
 
 __all__ = [
     "CentralityVector",
@@ -138,26 +139,14 @@ def centrality(g: AttributedGraph, measure: str) -> CentralityVector:
 def _rounds_contraction(g: AttributedGraph, rounds: int, measure: str):
     """Strip minimum-centrality vertices over a fixed number of rounds.
 
-    The ranking is computed once on the input.  Each round selects the
-    lowest-scoring unprocessed vertex (ties by ascending id) and removes it
-    unless that would change the component count; a blocked selection still
-    uses up its round.
+    The ranking is computed once on the input, so round r takes the r-th
+    vertex in (score, id) order and removes it unless that would change the
+    component count; a blocked selection still uses up its round.
     """
     if rounds == 0 or g.n == 0:
         return g, []
     ranking = centrality(g, measure).scores
-    current = g
-    removed = []
-    unprocessed = set(g.vertices)
-    for _ in range(rounds):
-        if not unprocessed:
-            break
-        v = min(unprocessed, key=lambda u: (ranking[u], u))
-        unprocessed.remove(v)
-        if current.degree(v) > 0 and not is_cut_vertex(current, v):
-            current = current.without_vertices([v])
-            removed.append(v)
-    return current, removed
+    return _sweep(g, sorted(g.vertices, key=lambda u: (ranking[u], u))[:rounds], True)
 
 
 def r_centrality_node_contraction(

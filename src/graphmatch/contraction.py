@@ -13,9 +13,11 @@ Sweeps flag their victims up front: a pass over degree k first marks every
 vertex currently of degree k, then visits the marked vertices in ascending
 id order and removes each one the guard allows, even if earlier removals
 changed its degree.  A triangle at k=2 therefore loses two vertices, not
-one.  Each degree is swept exactly once per pass, so the cascade is not a
-fixpoint iteration: contracting can expose new low-degree vertices that
-only a later call would pick up.
+one.  Guards are evaluated on the graph left so far, and each sweep builds
+its result graph once.  Each degree up to the input's maximum is swept
+exactly once per pass (removals never raise a degree, so no higher stage
+could flag a vertex); the cascade is not a fixpoint iteration: contracting
+can expose new low-degree vertices that only a later call would pick up.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .editdist import (
 )
 from .graphs import (
     AttributedGraph,
+    _separates,
     canonical_edge,
     component_count,
-    is_cut_vertex,
+    is_cut_vertex,  # noqa: F401 -- perfbench/tracing.py wraps this name
 )
 
 __all__ = [
@@ -242,30 +245,29 @@ def hged(
 # -- degree-based node contraction -------------------------------------------
 
 
-def _removal_keeps_components(g: AttributedGraph, v: int) -> bool:
-    # a degree-0 vertex is its own component, so deleting it loses one
-    return g.degree(v) > 0 and not is_cut_vertex(g, v)
-
-
-def _degree_sweep(g: AttributedGraph, k: int, guarded: bool):
-    """One flag-then-sweep pass over the vertices of degree k."""
-    flagged = sorted(v for v in g.vertices if g.degree(v) == k)
+def _sweep(g: AttributedGraph, candidates, guarded: bool):
+    """Remove ``candidates`` in order; with ``guarded``, keep any whose
+    removal would change the component count of what is left.  Builds the
+    result once, and returns ``g`` itself when nothing was removed."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
     removed = []
-    current = g
-    for v in flagged:
-        if guarded and not _removal_keeps_components(current, v):
+    for v in candidates:
+        if guarded and (not adj[v] or _separates(adj, v)):
             continue
-        current = current.without_vertices([v])
+        for w in adj.pop(v):
+            adj[w].discard(v)
         removed.append(v)
-    return current, removed
+    return (g.without_vertices(removed) if removed else g), removed
 
 
 def _cascade(g: AttributedGraph, k: int, guarded: bool):
     if k < 0:
         raise ValueError("k must be >= 0")
     current, removed = g, []
-    for degree in range(1, k + 1):
-        current, gone = _degree_sweep(current, degree, guarded)
+    top = max(map(g.degree, g.vertices), default=0)  # removals never raise a degree
+    for degree in range(1, min(k, top) + 1):
+        flagged = sorted(v for v in current.vertices if current.degree(v) == degree)
+        current, gone = _sweep(current, flagged, guarded)
         removed.extend(gone)
     return current, removed
 
@@ -279,7 +281,7 @@ def k_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, Con
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out, removed = _degree_sweep(g, k, guarded=True)
+    out, removed = _sweep(g, sorted(v for v in g.vertices if g.degree(v) == k), True)
     return out, ContractionReport.of(g, out, removed)
 
 
@@ -308,8 +310,6 @@ def k_star_ged(
     The contraction is preprocessing: removed vertices cost nothing and the
     returned path edits the contracted graphs.  k=0 is exactly ``ged``.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     h1, _ = k_star_node_contraction(g1, k)
     h2, _ = k_star_node_contraction(g2, k)
     return ged(h1, h2, params, beam_width=beam_width)

@@ -101,7 +101,7 @@ def edge_features(g: GeometricGraph) -> list[EdgeFeature]:
 
 @dataclass(frozen=True)
 class DistanceWeights:
-    """Term weights of the weighted geometric distance (all >= 0)."""
+    """Term weights of the weighted geometric distance (finite, >= 0)."""
 
     w1: float = 1.0  # vertex term
     w2: float = 1.0  # edge angle term
@@ -110,8 +110,9 @@ class DistanceWeights:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "w4"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w1, self.w2, self.w3, self.w4)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 Label = tuple[float, ...] | str | None
 Coord = tuple[float, float]
@@ -250,18 +250,23 @@ def is_cut_vertex(g: AttributedGraph, v: int) -> bool:
     """
     if v not in g._adj:
         raise KeyError(f"unknown vertex {v}")
-    neighbors = g.neighbors(v)
+    return _separates(g._adj, v)
+
+
+def _separates(adj: Mapping[int, Collection[int]], v: int) -> bool:
+    """Whether removing ``v`` disconnects two of its neighbours in ``adj``."""
+    neighbors = adj[v]
     if len(neighbors) < 2:
         return False
     # BFS from one neighbor, avoiding v; v is a cut vertex iff some other
     # neighbor is unreachable.
     target = set(neighbors)
-    seen = {v, neighbors[0]}
-    stack = [neighbors[0]]
+    stack = [next(iter(neighbors))]
+    seen = {v, stack[0]}
     reached = 1
     while stack and reached < len(target):
         u = stack.pop()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 if w in target:

@@ -79,6 +79,11 @@ class TestMatcherSpec:
             with pytest.raises(ValueError):
                 MatcherSpec(method)
 
+    @pytest.mark.parametrize("method", ["geometric(nan,1,1,1)", "geometric(1,1,inf,1)"])
+    def test_non_finite_geometric_weights_rejected(self, method):
+        with pytest.raises(ValueError, match="finite"):
+            MatcherSpec(method)
+
     def test_dispatch_matches_module_functions(self):
         g1 = random_graph(5, 0.5, seed=1)
         g2 = random_graph(5, 0.4, seed=2)
@@ -293,6 +298,12 @@ class TestTuneWeights:
             tune_weights(DatasetSplit("train", ()), split)
         with pytest.raises(ValueError):
             tune_weights(split, split, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        split = split_of("train", point_instance(0, "a", "x"))
+        with pytest.raises(ValueError, match="finite"):
+            tune_weights(split, split, delta=delta)
 
     def test_start_at_optimum_returns_start(self):
         corpus = synthesize_corpus(classes=3, per_class=2, sigma=0.0, seed=4)

@@ -138,6 +138,20 @@ class TestClassify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_geometric_weight(self, tmp_path, capsys):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
+        code = run(
+            "classify",
+            "--train", train_index,
+            "--test", train_index,
+            "--data", data,
+            "--method", "geometric(nan,1,1,1)",
+            "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_required_flag_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:
             run("classify", "--train", "x.cxl")
@@ -355,3 +369,18 @@ class TestTune:
         )
         assert code == 0
         assert json.loads(out.read_text())["w1"] == pytest.approx(0.4)
+
+    def test_non_finite_delta_rejected(self, tmp_path, capsys):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=2)
+        out = tmp_path / "weights.json"
+        code = run(
+            "tune",
+            "--train", train_index,
+            "--validation", train_index,
+            "--data", data,
+            "--delta", "inf",
+            "--out", out,
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -24,6 +24,7 @@ from graphmatch.graphs import (
     AttributedGraph,
     GeometricGraph,
     component_count,
+    is_cut_vertex,
     random_graph,
     subdivide_edge,
 )
@@ -395,6 +396,98 @@ class TestKStarNodeDeletion:
                 kept_nd = k_star_node_deletion(g, k)[0].n
                 kept_nc = k_star_node_contraction(g, k)[0].n
                 assert kept_nd <= kept_nc
+
+
+# -- differential check of the degree sweeps -------------------------------
+
+
+def reference_sweeps(g, degrees, guarded):
+    """Flag-then-sweep semantics replayed one removal at a time: each stage
+    flags the vertices of its degree, then removes them in ascending id
+    order, rebuilding the graph after every removal."""
+    current = g
+    removed = []
+    for k in degrees:
+        for v in sorted(v for v in current.vertices if current.degree(v) == k):
+            if guarded and not (current.degree(v) > 0 and not is_cut_vertex(current, v)):
+                continue
+            current = current.without_vertices([v])
+            removed.append(v)
+    return current, tuple(removed)
+
+
+def labelled_graph(n, mask):
+    """Edge subset ``mask`` of K_n, vertices listed in descending id order,
+    with a distinct label on every vertex and edge."""
+    pairs = [e for bit, e in enumerate(itertools.combinations(range(n), 2)) if mask >> bit & 1]
+    return AttributedGraph(
+        range(n - 1, -1, -1),
+        pairs,
+        node_labels={v: f"v{v}" for v in range(n)},
+        edge_labels={e: f"e{e[0]}{e[1]}" for e in pairs},
+    )
+
+
+def assert_same_result(actual, expected):
+    (out, report), (ref, ref_removed) = actual, expected
+    assert type(out) is type(ref)
+    assert out.vertices == ref.vertices
+    assert out.edges == ref.edges
+    assert out.node_labels == ref.node_labels
+    assert out.edge_labels == ref.edge_labels
+    assert report.removed == ref_removed
+
+
+def sweeps_under_test(k):
+    """Each degree sweep paired with the reference call it must reproduce."""
+    return (
+        (lambda g: k_node_contraction(g, k), lambda g: reference_sweeps(g, [k], True)),
+        (
+            lambda g: k_star_node_contraction(g, k),
+            lambda g: reference_sweeps(g, range(1, k + 1), True),
+        ),
+        (
+            lambda g: k_star_node_deletion(g, k),
+            lambda g: reference_sweeps(g, range(1, k + 1), False),
+        ),
+    )
+
+
+class TestSweepsMatchReference:
+    def test_every_small_graph(self):
+        for n in range(6):
+            for mask in range(2 ** (n * (n - 1) // 2)):
+                g = labelled_graph(n, mask)
+                for k in range(5):
+                    for sweep, reference in sweeps_under_test(k):
+                        assert_same_result(sweep(g), reference(g))
+
+    def test_geometric_graph_keeps_coordinates_and_padding(self):
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)]
+        g = GeometricGraph(
+            range(7),
+            edges,
+            coords={v: (float(v), float(v * v % 5)) for v in range(7)},
+            node_labels={v: (float(v), -1.0) for v in range(7)},
+            edge_labels={e: (float(e[0] + e[1]),) for e in edges},
+            empty_edges=3,
+        )
+        for k in range(5):
+            for sweep, reference in sweeps_under_test(k):
+                out, report = sweep(g)
+                ref, removed = reference(g)
+                assert_same_result((out, report), (ref, removed))
+                assert out.coords == ref.coords
+                assert out.empty_edges == 3
+
+    def test_cascade_beyond_maximum_degree_is_unchanged(self):
+        for seed in range(8):
+            g = random_graph(8, 0.2 + 0.1 * (seed % 4), seed=seed)
+            for contract in (k_star_node_contraction, k_star_node_deletion):
+                huge, huge_report = contract(g, 10**9)
+                at_n, at_n_report = contract(g, g.n)
+                assert (huge.vertices, huge.edges) == (at_n.vertices, at_n.edges)
+                assert huge_report == at_n_report
 
 
 # -- contraction-based edit distance ----------------------------------------

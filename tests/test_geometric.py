@@ -648,6 +648,13 @@ class TestGeometricGraphDistance:
         with pytest.raises(ValueError):
             DistanceWeights(w2=-0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            DistanceWeights(w1=value)
+        with pytest.raises(ValueError, match="finite"):
+            DistanceWeights(1.0, 1.0, 1.0, value)
+
     def test_weights_tuple_round_trip(self):
         w = DistanceWeights(0.35, 0.23, 0.11, 0.31)
         assert w.as_tuple() == (0.35, 0.23, 0.11, 0.31)
