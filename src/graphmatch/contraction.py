@@ -13,8 +13,9 @@ Sweeps flag their victims up front: a pass over degree k first marks every
 vertex currently of degree k, then visits the marked vertices in ascending
 id order and removes each one the guard allows, even if earlier removals
 changed its degree.  A triangle at k=2 therefore loses two vertices, not
-one.  Guards are evaluated on the graph left so far, and each sweep builds
-its result graph once.  Each degree up to the input's maximum is swept
+one.  Guards are evaluated on the graph left so far, kept as a live
+adjacency that the cascade carries across its degree stages; each call
+builds its result graph once.  Each degree up to the input's maximum is swept
 exactly once per pass (removals never raise a degree, so no higher stage
 could flag a vertex); the cascade is not a fixpoint iteration: contracting
 can expose new low-degree vertices that only a later call would pick up.
@@ -245,11 +246,10 @@ def hged(
 # -- degree-based node contraction -------------------------------------------
 
 
-def _sweep(g: AttributedGraph, candidates, guarded: bool):
-    """Remove ``candidates`` in order; with ``guarded``, keep any whose
-    removal would change the component count of what is left.  Builds the
-    result once, and returns ``g`` itself when nothing was removed."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+def _remove(adj: dict, candidates, guarded: bool) -> list:
+    """Drop ``candidates`` in order from the live adjacency ``adj``; with
+    ``guarded``, keep any whose removal would change the component count of
+    what is left.  Returns the removed vertices in removal order."""
     removed = []
     for v in candidates:
         if guarded and (not adj[v] or _separates(adj, v)):
@@ -257,19 +257,27 @@ def _sweep(g: AttributedGraph, candidates, guarded: bool):
         for w in adj.pop(v):
             adj[w].discard(v)
         removed.append(v)
+    return removed
+
+
+def _sweep(g: AttributedGraph, candidates, guarded: bool):
+    """``_remove`` on ``g``'s adjacency.  Builds the result once, and returns
+    ``g`` itself when nothing was removed."""
+    removed = _remove({v: set(g.neighbors(v)) for v in g.vertices}, candidates, guarded)
     return (g.without_vertices(removed) if removed else g), removed
 
 
 def _cascade(g: AttributedGraph, k: int, guarded: bool):
+    """Degree stages 1..k on one live adjacency; each stage flags the
+    vertices of that degree in what the earlier stages left."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    current, removed = g, []
-    top = max(map(g.degree, g.vertices), default=0)  # removals never raise a degree
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    removed = []
+    top = max(map(len, adj.values()), default=0)  # removals never raise a degree
     for degree in range(1, min(k, top) + 1):
-        flagged = sorted(v for v in current.vertices if current.degree(v) == degree)
-        current, gone = _sweep(current, flagged, guarded)
-        removed.extend(gone)
-    return current, removed
+        removed += _remove(adj, sorted(v for v in adj if len(adj[v]) == degree), guarded)
+    return (g.without_vertices(removed) if removed else g), removed
 
 
 def k_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:

@@ -26,7 +26,13 @@ uniform scaling) of g2 that minimizes the edge distance against g1: every
 nondegenerate edge of g2, in both endpoint orders, is mapped onto g1's
 longest edge, and the identity is always a candidate, so aligning never
 hurts.  All of this happens in g1's own coordinate frame, which keeps
-tolerance thresholds in input units.
+tolerance thresholds in input units.  Candidates are never built as graphs:
+one numpy expression places g2's coordinates for all of them, and their
+features and cost matrices are scored a fixed block of candidates per kernel
+call.  A candidate whose row/column-minimum bound already exceeds the best
+score so far (plus the tie margin) skips its assignment solve, and only the
+winning transform is built.  Scores equal the one-candidate-at-a-time
+computation bit for bit, so the same candidate wins.
 """
 
 from __future__ import annotations
@@ -122,20 +128,32 @@ _ED_WEIGHTS = DistanceWeights(w4=0.0)
 _EDM_WEIGHTS = DistanceWeights()
 
 
-def _edge_cost_matrix(
-    feats1: list[EdgeFeature], feats2: list[EdgeFeature], weights: DistanceWeights
-) -> np.ndarray:
-    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of edge features (the
-    one place these terms are computed)."""
-    a, b = (
-        np.array([(f.theta, f.length, *f.left, *f.right) for f in feats]).reshape(-1, 6)
-        for feats in (feats1, feats2)
-    )
-    d = a[:, None, :] - b[None, :, :]
+def _feature_array(feats: list[EdgeFeature]) -> np.ndarray:
+    """Rows (theta, length, left x, left y, right x, right y), shape (m, 6)."""
+    return np.array([(f.theta, f.length, *f.left, *f.right) for f in feats]).reshape(-1, 6)
+
+
+def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
+    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of feature rows (the one
+    place these terms are computed).
+
+    ``a`` is (..., m, 6) and ``b`` is (..., m', 6) with broadcastable leading
+    axes; the result is (..., m, m').
+    """
+    d = a[..., :, None, :] - b[..., None, :, :]
     angle = np.abs(d[..., 0]) * math.pi / 180.0
     length = np.abs(d[..., 1])
     position = (np.hypot(d[..., 2], d[..., 3]) + np.hypot(d[..., 4], d[..., 5])) / 2.0
     return weights.w2 * angle + weights.w3 * length + weights.w4 * position
+
+
+def _lsap_lower_bound(cost: np.ndarray) -> np.ndarray:
+    """max(sum of row minima, sum of column minima) of each (..., n, n) matrix.
+
+    Every assignment pays at least the minimum of each row and of each
+    column, so this never exceeds the LSAP optimum.
+    """
+    return np.maximum(cost.min(axis=-1).sum(axis=-1), cost.min(axis=-2).sum(axis=-1))
 
 
 # -- elementary distances ----------------------------------------------------
@@ -158,7 +176,7 @@ def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
 def _edge_assignment(
     g1: GeometricGraph, g2: GeometricGraph, weights: DistanceWeights
 ) -> tuple[float, Assignment]:
-    feats1, feats2 = edge_features(g1), edge_features(g2)
+    feats1, feats2 = (_feature_array(edge_features(g)) for g in (g1, g2))
     if len(feats1) != len(feats2):
         raise ValueError(
             f"unequal edge counts ({len(feats1)} vs {len(feats2)}); pad first"
@@ -229,6 +247,34 @@ def pad_to_equal(
 
 # -- alignment ---------------------------------------------------------------
 
+# Alignment candidates scored per kernel call; it bounds the (block, n, n, 6)
+# difference array the kernel broadcasts.
+_ALIGN_BLOCK = 8
+
+# math's atan2 and hypot, elementwise: numpy's own differ from them in the
+# last bit on a few percent of inputs, and candidate features must equal
+# edge_feature's so that scores, and with them near-ties, come out the same.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _similarity(p, q, e_ref):
+    """(scale, cos, sin, fx, fy, ax, ay) of the similarity transform mapping
+    segment p-q onto ``e_ref``: x goes to (ax, ay) + scale * R (x - (fx, fy)),
+    where (fx, fy) is p-q's canonical left endpoint and (ax, ay) e_ref's
+    first point."""
+    feat = edge_feature(p, q)
+    if feat.length == 0.0:
+        raise ValueError("cannot align on a zero-length edge")
+    (ax, ay), (bx, by) = e_ref
+    ref_len = math.hypot(bx - ax, by - ay)
+    if ref_len == 0.0:
+        raise ValueError("reference segment has zero length")
+    angle = math.atan2(by - ay, bx - ax) - math.atan2(
+        feat.right[1] - feat.left[1], feat.right[0] - feat.left[0]
+    )
+    return ref_len / feat.length, math.cos(angle), math.sin(angle), *feat.left, ax, ay
+
 
 def geometric_transform(
     g: GeometricGraph,
@@ -246,19 +292,7 @@ def geometric_transform(
     u, v = canonical_edge(*f)
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u}, {v})")
-    feat = edge_feature(g.coords[u], g.coords[v])
-    if feat.length == 0.0:
-        raise ValueError("cannot align on a zero-length edge")
-    (ax, ay), (bx, by) = e_ref
-    ref_len = math.hypot(bx - ax, by - ay)
-    if ref_len == 0.0:
-        raise ValueError("reference segment has zero length")
-    scale = ref_len / feat.length
-    angle = math.atan2(by - ay, bx - ax) - math.atan2(
-        feat.right[1] - feat.left[1], feat.right[0] - feat.left[0]
-    )
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    fx, fy = feat.left
+    scale, cos_a, sin_a, fx, fy, ax, ay = _similarity(g.coords[u], g.coords[v], e_ref)
 
     def transform(p):
         px, py = p[0] - fx, p[1] - fy
@@ -277,6 +311,43 @@ def geometric_transform(
     )
 
 
+def _placements(g: GeometricGraph, moves) -> np.ndarray:
+    """g's coordinates in vertex order as they are, then under each
+    (edge, e_ref) move: shape (1 + len(moves), n, 2), each placement equal to
+    ``geometric_transform``'s coordinates bit for bit."""
+    params = np.array([_similarity(g.coords[u], g.coords[v], e) for (u, v), e in moves])
+    scale, cos_a, sin_a, fx, fy, ax, ay = params.reshape(-1, 7).T[..., None]
+    coords = np.array([g.coords[v] for v in g.vertices])
+    px, py = coords[:, 0] - fx, coords[:, 1] - fy
+    moved = (ax + scale * (cos_a * px - sin_a * py), ay + scale * (sin_a * px + cos_a * py))
+    return np.concatenate((coords[None], np.stack(moved, -1)))
+
+
+def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.ndarray:
+    """Edge feature rows (C, slots, 6) of C placements (C, N, 2) of one graph.
+
+    ``ends`` holds each edge's endpoint indices (m, 2) in edge order.  The
+    real rows equal ``edge_feature`` bit for bit; the rows past them are
+    empty slots at the placement's own mean coordinate, summed in vertex
+    order as ``mean_coord`` sums it.
+    """
+    m = len(ends)
+    p, q = coords[:, ends[:, 0]], coords[:, ends[:, 1]]
+    # edge_feature's canonical order: p is left when (px, py) <= (qx, qy)
+    p_left = (p[..., 0] < q[..., 0]) | ((p[..., 0] == q[..., 0]) & (p[..., 1] <= q[..., 1]))
+    left = np.where(p_left[..., None], p, q)
+    right = np.where(p_left[..., None], q, p)
+    dx, dy = right[..., 0] - left[..., 0], right[..., 1] - left[..., 1]
+    mean = np.add.accumulate(coords, axis=1)[:, -1] / coords.shape[1]
+    feats = np.zeros((len(coords), slots, 6))
+    feats[:, :m, 0] = np.degrees(_atan2(dy, dx).astype(float)) % 180.0
+    feats[:, :m, 1] = _hypot(dx, dy).astype(float)
+    feats[:, :m, 2:4] = left
+    feats[:, :m, 4:6] = right
+    feats[:, m:, 2:4] = feats[:, m:, 4:6] = mean[:, None, :]
+    return feats
+
+
 def _has_alignable_edge(g: GeometricGraph) -> bool:
     return any(
         g.coords[u] != g.coords[v] for u, v in g.edges
@@ -293,46 +364,56 @@ def graph_alignment(
     candidate minimizing the edge distance ("ed") or its metric variant
     ("edm") against g1 wins.  Near-ties fall back to the position-aware
     score, then to candidate order, so the identity keeps exact ties.
+
+    Candidates are scored in blocks of _ALIGN_BLOCK through one kernel call
+    each.  A candidate whose row/column-minimum bound exceeds the best
+    primary score plus the tie margin can neither win nor tie, so its
+    assignment is never solved.  Only the winner is built as a graph; the
+    identity returns g2 itself.
     """
     if variant not in ("ed", "edm"):
         raise ValueError(f"unknown alignment variant {variant!r}")
     if not _has_alignable_edge(g1) or not _has_alignable_edge(g2):
         raise ValueError("alignment needs a positive-length edge in both graphs")
-    # the primary score first, the position-aware tie-break score last
-    score_weights = (_EDM_WEIGHTS,) if variant == "edm" else (_ED_WEIGHTS, _EDM_WEIGHTS)
+    primary_weights = _EDM_WEIGHTS if variant == "edm" else _ED_WEIGHTS
     feats1 = edge_features(g1)
     # g1's longest edge; ties go to the first in canonical edge order
     ref = max(feats1, key=lambda f: f.length)
     # every candidate keeps g2's edge slots, so g1's side is padded once
-    n = max(len(feats1), g2.m + g2.empty_edges)
-    feats1 += [empty_edge_feature(g1.mean_coord())] * (n - len(feats1))
+    slots = max(len(feats1), g2.m + g2.empty_edges)
+    feats1 += [empty_edge_feature(g1.mean_coord())] * (slots - len(feats1))
+    a = _feature_array(feats1)
 
-    def scores(candidate: GeometricGraph) -> tuple[float, float]:
-        feats2 = edge_features(candidate)
-        feats2 += [empty_edge_feature(candidate.mean_coord())] * (n - len(feats2))
-        costs = [
-            solve_lsap(_edge_cost_matrix(feats1, feats2, w)).total_cost
-            for w in score_weights
-        ]
-        return costs[0], costs[-1]
+    # candidate 0 is g2 itself, candidate i > 0 applies moves[i - 1]
+    moves = [
+        (f, e_ref)
+        for f in g2.edges
+        if g2.coords[f[0]] != g2.coords[f[1]]
+        for e_ref in ((ref.left, ref.right), (ref.right, ref.left))
+    ]
+    placements = _placements(g2, moves)
+    index = {v: i for i, v in enumerate(g2.vertices)}
+    ends = np.array([(index[u], index[v]) for u, v in g2.edges])
 
     # The slope angle is blind to 180-degree rotations, so a point-reflected
     # candidate ties the true inverse on ED; among near-ties the smaller
     # position-aware score picks the right witness.
-    best, (best_primary, best_secondary) = g2, scores(g2)
-    for f in g2.edges:
-        if g2.coords[f[0]] == g2.coords[f[1]]:
-            continue
-        for e_ref in ((ref.left, ref.right), (ref.right, ref.left)):
-            candidate = geometric_transform(g2, f, e_ref)
-            primary, secondary = scores(candidate)
-            if primary < best_primary - 1e-9 or (
-                primary <= best_primary + 1e-9
-                and secondary < best_secondary - 1e-9
-            ):
-                best = candidate
-                best_primary, best_secondary = primary, secondary
-    return best
+    best, best_primary, best_secondary = 0, math.inf, math.inf
+    for start in range(0, len(placements), _ALIGN_BLOCK):
+        b = _placement_features(placements[start : start + _ALIGN_BLOCK], ends, slots)
+        costs = _edge_cost_matrix(a, b, primary_weights)
+        for k, bound in enumerate(_lsap_lower_bound(costs)):
+            if bound > best_primary + 1e-9:
+                continue  # can neither win nor tie: skip its LSAP
+            primary = solve_lsap(costs[k]).total_cost
+            if primary > best_primary + 1e-9:
+                continue
+            secondary = primary  # "edm" has no separate tie-break score
+            if variant == "ed":
+                secondary = solve_lsap(_edge_cost_matrix(a, b[k], _EDM_WEIGHTS)).total_cost
+            if primary < best_primary - 1e-9 or secondary < best_secondary - 1e-9:
+                best, best_primary, best_secondary = start + k, primary, secondary
+    return g2 if best == 0 else geometric_transform(g2, *moves[best - 1])
 
 
 # -- verdicts and weighted distance ------------------------------------------
@@ -394,7 +475,9 @@ def geometric_graph_isomorphism(
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
         _, tie_broken = _edge_assignment(p1, p2, _EDM_WEIGHTS)
-        ed_costs = _edge_cost_matrix(edge_features(p1), edge_features(p2), _ED_WEIGHTS)
+        ed_costs = _edge_cost_matrix(
+            _feature_array(edge_features(p1)), _feature_array(edge_features(p2)), _ED_WEIGHTS
+        )
         retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= ed + 1e-9:
             consistent = _edge_endpoints_consistent(

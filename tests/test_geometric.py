@@ -9,12 +9,19 @@ import random
 import numpy as np
 import pytest
 
+from graphmatch import geometric
 from graphmatch.geometric import (
     DistanceWeights,
+    _edge_cost_matrix,
+    _feature_array,
+    _lsap_lower_bound,
+    _placement_features,
+    _placements,
     edge_distance,
     edge_distance_metric,
     edge_feature,
     edge_features,
+    empty_edge_feature,
     geometric_graph_distance,
     geometric_graph_isomorphism,
     geometric_transform,
@@ -146,6 +153,30 @@ class TestSolveLsap:
         a = solve_lsap(matrix)
         assert dict(a.pairs) == {0: 1, 1: 0}
         assert a.total_cost == pytest.approx(2.0)
+
+
+class TestAssignmentBound:
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(5)
+        for n in range(1, 41):
+            yield rng.uniform(0, 10, (n, n))  # random
+            yield rng.integers(0, 3, (n, n)).astype(float)  # many ties
+            yield np.full((n, n), 0.7)  # all equal
+            yield rng.uniform(0, 1, (n, n)) ** 8  # mostly near zero
+
+    def test_never_exceeds_the_optimum(self):
+        for m in self.matrices():
+            assert _lsap_lower_bound(m) <= solve_lsap(m).total_cost + 1e-12
+
+    def test_batch_axis_bounds_each_matrix(self):
+        rng = np.random.default_rng(7)
+        batch = rng.uniform(0, 5, (9, 12, 12))
+        bounds = _lsap_lower_bound(batch)
+        assert bounds.shape == (9,)
+        for m, bound in zip(batch, bounds):
+            assert bound == _lsap_lower_bound(m)
+            assert bound <= solve_lsap(m).total_cost + 1e-12
 
 
 # -- edge features -------------------------------------------------------
@@ -478,6 +509,176 @@ class TestGraphAlignment:
             graph_alignment(g, edgeless)
         with pytest.raises(ValueError):
             graph_alignment(edgeless, g)
+
+
+def reference_alignment(g1, g2, variant="ed"):
+    """graph_alignment as a plain loop: every candidate is built as a graph
+    and scored by full assignments (ED then EDM, or EDM alone)."""
+    score_weights = (
+        (DistanceWeights(),) if variant == "edm"
+        else (DistanceWeights(w4=0.0), DistanceWeights())
+    )
+    feats1 = edge_features(g1)
+    ref = max(feats1, key=lambda f: f.length)
+    n = max(len(feats1), g2.m + g2.empty_edges)
+    feats1 += [empty_edge_feature(g1.mean_coord())] * (n - len(feats1))
+
+    def scores(candidate):
+        feats2 = edge_features(candidate)
+        feats2 += [empty_edge_feature(candidate.mean_coord())] * (n - len(feats2))
+        costs = [
+            solve_lsap(
+                _edge_cost_matrix(_feature_array(feats1), _feature_array(feats2), w)
+            ).total_cost
+            for w in score_weights
+        ]
+        return costs[0], costs[-1]
+
+    best, (best_primary, best_secondary) = g2, scores(g2)
+    for f in g2.edges:
+        if g2.coords[f[0]] == g2.coords[f[1]]:
+            continue
+        for e_ref in ((ref.left, ref.right), (ref.right, ref.left)):
+            candidate = geometric_transform(g2, f, e_ref)
+            primary, secondary = scores(candidate)
+            if primary < best_primary - 1e-9 or (
+                primary <= best_primary + 1e-9
+                and secondary < best_secondary - 1e-9
+            ):
+                best = candidate
+                best_primary, best_secondary = primary, secondary
+    return best
+
+
+def jittered(g, rng, t):
+    coords = {v: (x + rng.uniform(-t, t), y + rng.uniform(-t, t)) for v, (x, y) in g.coords.items()}
+    return GeometricGraph(g.vertices, g.edges, coords)
+
+
+def regular_polygon(k, radius=1.0):
+    coords = {
+        i: (radius * math.cos(math.tau * i / k), radius * math.sin(math.tau * i / k))
+        for i in range(k)
+    }
+    return GeometricGraph(range(k), [(i, (i + 1) % k) for i in range(k)], coords)
+
+
+class TestAlignmentMatchesReference:
+    """The batched, bound-pruned candidate scan returns exactly the graph the
+    candidate-by-candidate loop returns."""
+
+    @staticmethod
+    def random_pairs():
+        rng = random.Random(101)
+        for _ in range(40):  # independent sizes: either side may be padded
+            yield (
+                random_geometric(rng, rng.randint(2, 18), p=rng.uniform(0.1, 0.3)),
+                random_geometric(rng, rng.randint(2, 18), p=rng.uniform(0.1, 0.3)),
+            )
+        for _ in range(30):  # noisy similarity copies: close competing candidates
+            g1 = random_geometric(rng, rng.randint(3, 18), p=rng.uniform(0.1, 0.3))
+            copy = similarity_copy(
+                g1, rng.uniform(0, math.tau), rng.uniform(0.5, 2.0), (rng.uniform(-5, 5), 1.0)
+            )
+            yield g1, jittered(copy, rng, rng.choice((1e-3, 0.05, 0.3)))
+        for _ in range(10):  # a smaller graph against a larger one, both ways
+            small = random_geometric(rng, rng.randint(2, 6), p=0.7)
+            big = random_geometric(rng, rng.randint(10, 18), p=0.2)
+            yield small, big
+            yield big, small
+        for _ in range(15):  # explicit empty slots on one or both inputs
+            g1 = random_geometric(rng, rng.randint(3, 10), p=0.5)
+            g2 = random_geometric(rng, rng.randint(3, 10), p=0.5)
+            yield (
+                GeometricGraph(g1.vertices, g1.edges, g1.coords, empty_edges=rng.randint(0, 3)),
+                GeometricGraph(g2.vertices, g2.edges, g2.coords, empty_edges=rng.randint(1, 4)),
+            )
+        for _ in range(15):  # zero-length edges in g2
+            g1 = random_geometric(rng, rng.randint(3, 10), p=0.5)
+            g2 = random_geometric(rng, rng.randint(4, 12), p=0.5)
+            coords = dict(g2.coords)
+            for u, v in rng.sample(g2.edges, min(2, g2.m)):
+                coords[v] = coords[u]
+            yield g1, GeometricGraph(g2.vertices, g2.edges, coords)
+
+    @staticmethod
+    def tie_pairs():
+        sq, hexagon = square(), regular_polygon(6)
+        yield sq, sq, True
+        yield sq, square(2.0, (3.0, -1.0)), False
+        yield hexagon, hexagon, True
+        yield hexagon, regular_polygon(6, 3.0), False
+        g = random_geometric_fixed(random.Random(103), 6, 7)
+        yield g, similarity_copy(g, math.pi, 1.0, (0.0, 0.0)), False
+        yield g, similarity_copy(g, math.pi, 1.0, (2.5, -1.5)), False
+
+    @staticmethod
+    def assert_same_graph(got, want):
+        assert got.coords == want.coords
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert got.empty_edges == want.empty_edges
+
+    def test_random_pairs_both_variants(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(
+            geometric,
+            "geometric_transform",
+            lambda *args: builds.append(args) or geometric_transform(*args),
+        )
+        moved = 0
+        for g1, g2 in self.random_pairs():
+            p1, p2 = pad_to_equal(g1, g2)
+            if not (geometric._has_alignable_edge(p1) and geometric._has_alignable_edge(p2)):
+                continue
+            for variant in ("ed", "edm"):
+                builds.clear()
+                got = graph_alignment(p1, p2, variant)
+                assert len(builds) <= 1  # only the winner is built
+                want = reference_alignment(p1, p2, variant)
+                self.assert_same_graph(got, want)
+                moved += got is not p2
+        assert moved >= 150  # most pairs do pick a transform
+
+    def test_placements_equal_built_candidates(self):
+        for g1, g2 in self.random_pairs():
+            p1, p2 = pad_to_equal(g1, g2)
+            if not (geometric._has_alignable_edge(p1) and geometric._has_alignable_edge(p2)):
+                continue
+            ref = max(edge_features(p1), key=lambda f: f.length)
+            moves = [
+                (f, e_ref)
+                for f in p2.edges
+                if p2.coords[f[0]] != p2.coords[f[1]]
+                for e_ref in ((ref.left, ref.right), (ref.right, ref.left))
+            ]
+            placements = _placements(p2, moves)
+            index = {v: i for i, v in enumerate(p2.vertices)}
+            ends = np.array([(index[u], index[v]) for u, v in p2.edges]).reshape(-1, 2)
+            slots = p2.m + p2.empty_edges + 2
+            feats = _placement_features(placements, ends, slots)
+            built = [p2] + [geometric_transform(p2, *move) for move in moves]
+            for coords, row, g in zip(placements, feats, built):
+                assert coords.tolist() == [list(g.coords[v]) for v in p2.vertices]
+                want = edge_features(g) + [empty_edge_feature(g.mean_coord())] * 2
+                assert (row == _feature_array(want)).all()
+
+    def test_exact_ties(self):
+        for g1, g2, identity_wins in self.tie_pairs():
+            for variant in ("ed", "edm"):
+                got = graph_alignment(g1, g2, variant)
+                self.assert_same_graph(got, reference_alignment(g1, g2, variant))
+                if identity_wins:
+                    assert got is g2
+
+    def test_isomorphism_matches_reference(self, monkeypatch):
+        pairs = [(g1, g2) for g1, g2 in self.random_pairs()]
+        pairs += [(g1, g2) for g1, g2, _ in self.tie_pairs()]
+        got = [geometric_graph_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
+        monkeypatch.setattr(geometric, "graph_alignment", reference_alignment)
+        want = [geometric_graph_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
+        assert got == want
+        assert {r.verdict for r in got} == {"isomorphic", "t_tolerant", "distance"}
 
 
 # -- isomorphism verdicts ---------------------------------------------------
