@@ -1,11 +1,13 @@
 """Geometric graph distances: assignment-based matching of plane graphs.
 
 Vertices are compared by Euclidean distance between coordinates; edges by
-features extracted per edge:
+one feature row each, the rows of a graph stacked in one (slots, 6) float
+array with the columns
 
-* theta, the undirected slope angle in degrees, canonicalized to [0, 180);
-* length;
-* the two endpoints in canonical order ("left" = smaller x, tie on y).
+* 0: theta, the undirected slope angle in degrees, canonicalized to [0, 180);
+* 1: length;
+* 2-5: the two endpoints in canonical order ("left" = smaller x, tie on y),
+  left x, left y, right x, right y.
 
 Every distance here is a setting of one weighted family,
 w1 * VD + sum(w2 * E^A + w3 * E^L + w4 * E^P) over an optimal edge
@@ -17,7 +19,7 @@ the (., 1, 1, 1) setting; GD and GDM add VD at w1 = 1.  Weights of 1 and 0
 are exact, so these equal the weighted distance bit for bit.
 
 Graphs of unequal size are padded: extra vertices at the mean coordinate of
-the smaller graph's own vertices, extra edge slots as "empty" features
+the smaller graph's own vertices, extra edge slots as "empty" rows
 (angle 0, length 0, endpoints at the graph mean).  Empty slots are counted
 on the graph (``empty_edges``), never materialized as structural edges.
 
@@ -32,7 +34,10 @@ features and cost matrices are scored a fixed block of candidates per kernel
 call.  A candidate whose row/column-minimum bound already exceeds the best
 score so far (plus the tie margin) skips its assignment solve, and only the
 winning transform is built.  Scores equal the one-candidate-at-a-time
-computation bit for bit, so the same candidate wins.
+computation bit for bit, so the same candidate wins.  The transform
+arithmetic lives in one place, ``_similarity`` (the parameters) and
+``_placements`` (the moved coordinates), which ``geometric_transform`` reuses
+for the winner.
 """
 
 from __future__ import annotations
@@ -77,32 +82,24 @@ def solve_lsap(cost: CostMatrix) -> Assignment:
 # -- edge features -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeFeature:
-    theta: float  # degrees, in [0, 180)
-    length: float
-    left: tuple[float, float]
-    right: tuple[float, float]
-
-
-def edge_feature(p: tuple[float, float], q: tuple[float, float]) -> EdgeFeature:
-    """Feature of the segment p-q with endpoints in canonical order."""
+def _segment_row(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, ...]:
+    """Feature row of the segment p-q with endpoints in canonical order."""
     left, right = (p, q) if (p[0], p[1]) <= (q[0], q[1]) else (q, p)
     dx, dy = right[0] - left[0], right[1] - left[1]
     theta = math.degrees(math.atan2(dy, dx)) % 180.0
-    return EdgeFeature(theta, math.hypot(dx, dy), left, right)
+    return (theta, math.hypot(dx, dy), *left, *right)
 
 
-def empty_edge_feature(mean: tuple[float, float]) -> EdgeFeature:
-    return EdgeFeature(0.0, 0.0, mean, mean)
-
-
-def edge_features(g: GeometricGraph) -> list[EdgeFeature]:
-    """Features of the real edges followed by the graph's empty slots."""
-    feats = [edge_feature(g.coords[u], g.coords[v]) for u, v in g.edges]
+def edge_features(g: GeometricGraph) -> np.ndarray:
+    """Feature rows of g, shape (m + empty_edges, 6): one row
+    (theta, length, left x, left y, right x, right y) per real edge in edge
+    order, then one empty row (angle 0, length 0, both endpoints at the mean
+    coordinate) per empty slot."""
+    rows = [_segment_row(g.coords[u], g.coords[v]) for u, v in g.edges]
     if g.empty_edges:
-        feats.extend([empty_edge_feature(g.mean_coord())] * g.empty_edges)
-    return feats
+        mx, my = g.mean_coord()
+        rows += [(0.0, 0.0, mx, my, mx, my)] * g.empty_edges
+    return np.array(rows).reshape(-1, 6)
 
 
 @dataclass(frozen=True)
@@ -126,11 +123,6 @@ class DistanceWeights:
 
 _ED_WEIGHTS = DistanceWeights(w4=0.0)
 _EDM_WEIGHTS = DistanceWeights()
-
-
-def _feature_array(feats: list[EdgeFeature]) -> np.ndarray:
-    """Rows (theta, length, left x, left y, right x, right y), shape (m, 6)."""
-    return np.array([(f.theta, f.length, *f.left, *f.right) for f in feats]).reshape(-1, 6)
 
 
 def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
@@ -159,40 +151,42 @@ def _lsap_lower_bound(cost: np.ndarray) -> np.ndarray:
 # -- elementary distances ----------------------------------------------------
 
 
-def _vertex_assignment(g1: GeometricGraph, g2: GeometricGraph) -> tuple[float, Assignment]:
+def _coord_array(g: GeometricGraph) -> np.ndarray:
+    """g's coordinates in vertex order, shape (n, 2)."""
+    return np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2)
+
+
+def _vertex_assignment(g1: GeometricGraph, g2: GeometricGraph) -> Assignment:
     if g1.n != g2.n:
         raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    c1, c2 = (np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2) for g in (g1, g2))
-    d = c1[:, None, :] - c2[None, :, :]
-    assignment = solve_lsap(np.hypot(d[..., 0], d[..., 1]))
-    return assignment.total_cost, assignment
+    d = _coord_array(g1)[:, None, :] - _coord_array(g2)[None, :, :]
+    return solve_lsap(np.hypot(d[..., 0], d[..., 1]))
 
 
 def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Minimal total Euclidean movement matching the two vertex sets."""
-    return _vertex_assignment(g1, g2)[0]
+    return _vertex_assignment(g1, g2).total_cost
 
 
 def _edge_assignment(
     g1: GeometricGraph, g2: GeometricGraph, weights: DistanceWeights
-) -> tuple[float, Assignment]:
-    feats1, feats2 = (_feature_array(edge_features(g)) for g in (g1, g2))
+) -> Assignment:
+    feats1, feats2 = edge_features(g1), edge_features(g2)
     if len(feats1) != len(feats2):
         raise ValueError(
             f"unequal edge counts ({len(feats1)} vs {len(feats2)}); pad first"
         )
-    assignment = solve_lsap(_edge_cost_matrix(feats1, feats2, weights))
-    return assignment.total_cost, assignment
+    return solve_lsap(_edge_cost_matrix(feats1, feats2, weights))
 
 
 def edge_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Optimal-assignment sum of angle and length differences."""
-    return _edge_assignment(g1, g2, _ED_WEIGHTS)[0]
+    return _edge_assignment(g1, g2, _ED_WEIGHTS).total_cost
 
 
 def edge_distance_metric(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Like edge_distance but with the endpoint-position term added."""
-    return _edge_assignment(g1, g2, _EDM_WEIGHTS)[0]
+    return _edge_assignment(g1, g2, _EDM_WEIGHTS).total_cost
 
 
 def graph_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
@@ -253,7 +247,7 @@ _ALIGN_BLOCK = 8
 
 # math's atan2 and hypot, elementwise: numpy's own differ from them in the
 # last bit on a few percent of inputs, and candidate features must equal
-# edge_feature's so that scores, and with them near-ties, come out the same.
+# edge_features' rows so that scores, and with them near-ties, come out the same.
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
@@ -263,17 +257,15 @@ def _similarity(p, q, e_ref):
     segment p-q onto ``e_ref``: x goes to (ax, ay) + scale * R (x - (fx, fy)),
     where (fx, fy) is p-q's canonical left endpoint and (ax, ay) e_ref's
     first point."""
-    feat = edge_feature(p, q)
-    if feat.length == 0.0:
+    _, length, fx, fy, rx, ry = _segment_row(p, q)
+    if length == 0.0:
         raise ValueError("cannot align on a zero-length edge")
     (ax, ay), (bx, by) = e_ref
     ref_len = math.hypot(bx - ax, by - ay)
     if ref_len == 0.0:
         raise ValueError("reference segment has zero length")
-    angle = math.atan2(by - ay, bx - ax) - math.atan2(
-        feat.right[1] - feat.left[1], feat.right[0] - feat.left[0]
-    )
-    return ref_len / feat.length, math.cos(angle), math.sin(angle), *feat.left, ax, ay
+    angle = math.atan2(by - ay, bx - ax) - math.atan2(ry - fy, rx - fx)
+    return ref_len / length, math.cos(angle), math.sin(angle), fx, fy, ax, ay
 
 
 def geometric_transform(
@@ -292,19 +284,11 @@ def geometric_transform(
     u, v = canonical_edge(*f)
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u}, {v})")
-    scale, cos_a, sin_a, fx, fy, ax, ay = _similarity(g.coords[u], g.coords[v], e_ref)
-
-    def transform(p):
-        px, py = p[0] - fx, p[1] - fy
-        return (
-            ax + scale * (cos_a * px - sin_a * py),
-            ay + scale * (sin_a * px + cos_a * py),
-        )
-
+    moved = _placements(g, [((u, v), e_ref)])[1].tolist()
     return GeometricGraph(
         g.vertices,
         g.edges,
-        {w: transform(g.coords[w]) for w in g.vertices},
+        dict(zip(g.vertices, moved)),
         dict(g.node_labels),
         dict(g.edge_labels),
         empty_edges=g.empty_edges,
@@ -313,11 +297,11 @@ def geometric_transform(
 
 def _placements(g: GeometricGraph, moves) -> np.ndarray:
     """g's coordinates in vertex order as they are, then under each
-    (edge, e_ref) move: shape (1 + len(moves), n, 2), each placement equal to
-    ``geometric_transform``'s coordinates bit for bit."""
+    (edge, e_ref) move: shape (1 + len(moves), n, 2).  This and
+    ``_similarity`` are the one place the transform is computed."""
     params = np.array([_similarity(g.coords[u], g.coords[v], e) for (u, v), e in moves])
     scale, cos_a, sin_a, fx, fy, ax, ay = params.reshape(-1, 7).T[..., None]
-    coords = np.array([g.coords[v] for v in g.vertices])
+    coords = _coord_array(g)
     px, py = coords[:, 0] - fx, coords[:, 1] - fy
     moved = (ax + scale * (cos_a * px - sin_a * py), ay + scale * (sin_a * px + cos_a * py))
     return np.concatenate((coords[None], np.stack(moved, -1)))
@@ -327,13 +311,13 @@ def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.
     """Edge feature rows (C, slots, 6) of C placements (C, N, 2) of one graph.
 
     ``ends`` holds each edge's endpoint indices (m, 2) in edge order.  The
-    real rows equal ``edge_feature`` bit for bit; the rows past them are
+    real rows equal ``edge_features``' rows bit for bit; the rows past them are
     empty slots at the placement's own mean coordinate, summed in vertex
     order as ``mean_coord`` sums it.
     """
     m = len(ends)
     p, q = coords[:, ends[:, 0]], coords[:, ends[:, 1]]
-    # edge_feature's canonical order: p is left when (px, py) <= (qx, qy)
+    # _segment_row's canonical order: p is left when (px, py) <= (qx, qy)
     p_left = (p[..., 0] < q[..., 0]) | ((p[..., 0] == q[..., 0]) & (p[..., 1] <= q[..., 1]))
     left = np.where(p_left[..., None], p, q)
     right = np.where(p_left[..., None], q, p)
@@ -346,6 +330,12 @@ def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.
     feats[:, :m, 4:6] = right
     feats[:, m:, 2:4] = feats[:, m:, 4:6] = mean[:, None, :]
     return feats
+
+
+def _edge_ends(g: GeometricGraph) -> np.ndarray:
+    """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return np.array([(index[u], index[v]) for u, v in g.edges]).reshape(-1, 2)
 
 
 def _has_alignable_edge(g: GeometricGraph) -> bool:
@@ -377,23 +367,23 @@ def graph_alignment(
         raise ValueError("alignment needs a positive-length edge in both graphs")
     primary_weights = _EDM_WEIGHTS if variant == "edm" else _ED_WEIGHTS
     feats1 = edge_features(g1)
-    # g1's longest edge; ties go to the first in canonical edge order
-    ref = max(feats1, key=lambda f: f.length)
+    # g1's longest edge; argmax takes the first in canonical edge order
+    _, _, lx, ly, rx, ry = feats1[np.argmax(feats1[:, 1])].tolist()
     # every candidate keeps g2's edge slots, so g1's side is padded once
     slots = max(len(feats1), g2.m + g2.empty_edges)
-    feats1 += [empty_edge_feature(g1.mean_coord())] * (slots - len(feats1))
-    a = _feature_array(feats1)
+    a = feats1
+    if slots > len(feats1):
+        a = _placement_features(_coord_array(g1)[None], _edge_ends(g1), slots)[0]
 
     # candidate 0 is g2 itself, candidate i > 0 applies moves[i - 1]
     moves = [
         (f, e_ref)
         for f in g2.edges
         if g2.coords[f[0]] != g2.coords[f[1]]
-        for e_ref in ((ref.left, ref.right), (ref.right, ref.left))
+        for e_ref in (((lx, ly), (rx, ry)), ((rx, ry), (lx, ly)))
     ]
     placements = _placements(g2, moves)
-    index = {v: i for i, v in enumerate(g2.vertices)}
-    ends = np.array([(index[u], index[v]) for u, v in g2.edges])
+    ends = _edge_ends(g2)
 
     # The slope angle is blind to 180-degree rotations, so a point-reflected
     # candidate ties the true inverse on ED; among near-ties the smaller
@@ -463,9 +453,11 @@ def geometric_graph_isomorphism(
     p1, p2 = pad_to_equal(g1, g2)
     if _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "ed")
-    vd, vassign = _vertex_assignment(p1, p2)
-    ed, eassign = _edge_assignment(p1, p2, _ED_WEIGHTS)
-    gd = vd + ed
+    vassign = _vertex_assignment(p1, p2)
+    feats1, feats2 = edge_features(p1), edge_features(p2)
+    ed_costs = _edge_cost_matrix(feats1, feats2, _ED_WEIGHTS)
+    eassign = solve_lsap(ed_costs)
+    gd = vassign.total_cost + eassign.total_cost
     if not sizes_match:
         return GeometricIsomorphism("distance", gd, vassign.pairs)
 
@@ -474,12 +466,9 @@ def geometric_graph_isomorphism(
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
-        _, tie_broken = _edge_assignment(p1, p2, _EDM_WEIGHTS)
-        ed_costs = _edge_cost_matrix(
-            _feature_array(edge_features(p1)), _feature_array(edge_features(p2)), _ED_WEIGHTS
-        )
+        tie_broken = solve_lsap(_edge_cost_matrix(feats1, feats2, _EDM_WEIGHTS))
         retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
-        if retry_cost <= ed + 1e-9:
+        if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(
                 p1, p2, vassign.pairs, tie_broken.pairs
             )
@@ -509,10 +498,12 @@ def geometric_graph_distance(
     returns w1 * VD plus the optimal assignment total of
     w2 * E^A + w3 * E^L + w4 * E^P over the edge features.  With unit weights
     and no alignment this equals graph_distance_metric on the padded pair.
+    Both graphs must be GeometricGraphs (ValueError otherwise).
     """
+    if not isinstance(g1, GeometricGraph) or not isinstance(g2, GeometricGraph):
+        raise ValueError("geometric distance needs graphs with coordinates")
     p1, p2 = pad_to_equal(g1, g2)
     if align and _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "edm")
     vd = vertex_distance(p1, p2)
-    ed, _ = _edge_assignment(p1, p2, weights)
-    return weights.w1 * vd + ed
+    return weights.w1 * vd + _edge_assignment(p1, p2, weights).total_cost

@@ -142,12 +142,6 @@ class AttributedGraph:
         edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
         return self._rebuild(keep, edges, {e: self.edge_labels[e] for e in edges})
 
-    def with_edges(self, edges: Iterable[Sequence[int]]) -> "AttributedGraph":
-        """Same vertices, replaced edge set.  Labels of surviving edges kept."""
-        new_edges = [canonical_edge(*e) for e in edges]
-        kept = {e: self.edge_labels[e] for e in new_edges if e in self.edge_labels}
-        return self._rebuild(self.vertices, new_edges, kept)
-
     def _rebuild(self, vertices, edges, edge_labels):
         """A graph of the same type on ``vertices`` with the given edges and
         edge labels; vertex attributes are carried over."""
@@ -190,9 +184,6 @@ class GeometricGraph(AttributedGraph):
         if empty_edges < 0:
             raise ValueError("empty_edges must be >= 0")
         self.empty_edges = int(empty_edges)
-
-    def coord(self, v: int) -> tuple[float, float]:
-        return self.coords[v]
 
     def mean_coord(self) -> tuple[float, float]:
         """Mean coordinate of the existing vertices; origin for empty graphs."""

@@ -370,6 +370,30 @@ class TestTune:
         assert code == 0
         assert json.loads(out.read_text())["w1"] == pytest.approx(0.4)
 
+    def test_molecule_corpus_without_coordinates_rejected(self, tmp_path, capsys):
+        entries = []
+        for i in range(4):
+            g = AttributedGraph(range(3), [(0, 1), (1, 2)][: 1 + i % 2], {0: "C", 1: "O", 2: "C"})
+            (tmp_path / f"m{i}.gxl").write_text(write_gxl(g))
+            entries.append(f'<print file="m{i}.gxl" class="{"ab"[i % 2]}"/>')
+        index = tmp_path / "train.cxl"
+        index.write_text(
+            "<GraphCollection><fingerprints>" + "".join(entries) + "</fingerprints></GraphCollection>"
+        )
+        out = tmp_path / "weights.json"
+        code = run(
+            "tune",
+            "--train", index,
+            "--validation", index,
+            "--data", tmp_path,
+            "--profile", "molecule",
+            "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "coordinates" in err
+        assert not out.exists()
+
     def test_non_finite_delta_rejected(self, tmp_path, capsys):
         data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=2)
         out = tmp_path / "weights.json"

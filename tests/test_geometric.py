@@ -13,15 +13,12 @@ from graphmatch import geometric
 from graphmatch.geometric import (
     DistanceWeights,
     _edge_cost_matrix,
-    _feature_array,
     _lsap_lower_bound,
     _placement_features,
     _placements,
     edge_distance,
     edge_distance_metric,
-    edge_feature,
     edge_features,
-    empty_edge_feature,
     geometric_graph_distance,
     geometric_graph_isomorphism,
     geometric_transform,
@@ -32,7 +29,7 @@ from graphmatch.geometric import (
     solve_lsap,
     vertex_distance,
 )
-from graphmatch.graphs import GeometricGraph, random_graph
+from graphmatch.graphs import AttributedGraph, GeometricGraph, random_graph
 
 
 # -- oracles and generators ---------------------------------------------------
@@ -56,17 +53,20 @@ def oracle_vertex_distance(g1, g2):
     )
 
 
+# Feature rows: column 0 = theta, 1 = length, 2:4 = left, 4:6 = right.
+
+
 def _feature_cost(a, b, position, w=(1.0, 1.0, 1.0)):
-    cost = w[0] * abs(a.theta - b.theta) * math.pi / 180.0
-    cost += w[1] * abs(a.length - b.length)
+    cost = w[0] * abs(a[0] - b[0]) * math.pi / 180.0
+    cost += w[1] * abs(a[1] - b[1])
     if position:
-        cost += w[2] * (math.dist(a.left, b.left) + math.dist(a.right, b.right)) / 2.0
+        cost += w[2] * (math.dist(a[2:4], b[2:4]) + math.dist(a[4:6], b[4:6])) / 2.0
     return cost
 
 
 def oracle_edge_distance(g1, g2, position, w=(1.0, 1.0, 1.0)):
     f1, f2 = edge_features(g1), edge_features(g2)
-    if not f1:
+    if not len(f1):
         return 0.0
     return min(
         sum(_feature_cost(a, f2[j], position, w) for a, j in zip(f1, perm))
@@ -182,31 +182,36 @@ class TestAssignmentBound:
 # -- edge features -------------------------------------------------------
 
 
+def segment_row(p, q):
+    """Feature row of the one edge p-q (p is vertex 0, q vertex 1)."""
+    return edge_features(GeometricGraph([0, 1], [(0, 1)], {0: p, 1: q}))[0]
+
+
 class TestEdgeFeature:
     def test_diagonal(self):
-        f = edge_feature((0.0, 0.0), (1.0, 1.0))
-        assert f.theta == pytest.approx(45.0)
-        assert f.length == pytest.approx(math.sqrt(2))
-        assert f.left == (0.0, 0.0)
+        f = segment_row((0.0, 0.0), (1.0, 1.0))
+        assert f[0] == pytest.approx(45.0)
+        assert f[1] == pytest.approx(math.sqrt(2))
+        assert tuple(f[2:4]) == (0.0, 0.0)
 
     def test_orientation_independent(self):
-        assert edge_feature((1.0, 1.0), (0.0, 0.0)) == edge_feature(
+        assert (segment_row((1.0, 1.0), (0.0, 0.0)) == segment_row(
             (0.0, 0.0), (1.0, 1.0)
-        )
+        )).all()
 
     def test_vertical_edge(self):
-        f = edge_feature((0.0, 1.0), (0.0, 0.0))
-        assert f.theta == pytest.approx(90.0)
-        assert f.left == (0.0, 0.0)  # x tie broken on y
+        f = segment_row((0.0, 1.0), (0.0, 0.0))
+        assert f[0] == pytest.approx(90.0)
+        assert tuple(f[2:4]) == (0.0, 0.0)  # x tie broken on y
 
     def test_angle_stays_below_180(self):
         # Down-right segment reads as an upward angle from its left end.
-        f = edge_feature((1.0, 0.0), (0.0, 1.0))
-        assert f.theta == pytest.approx(135.0)
-        assert f.left == (0.0, 1.0)
+        f = segment_row((1.0, 0.0), (0.0, 1.0))
+        assert f[0] == pytest.approx(135.0)
+        assert tuple(f[2:4]) == (0.0, 1.0)
 
     def test_horizontal_is_zero(self):
-        assert edge_feature((3.0, 2.0), (1.0, 2.0)).theta == 0.0
+        assert segment_row((3.0, 2.0), (1.0, 2.0))[0] == 0.0
 
     def test_padding_features_follow_real_edges(self):
         g = GeometricGraph(
@@ -214,8 +219,25 @@ class TestEdgeFeature:
         )
         feats = edge_features(g)
         assert len(feats) == 3
-        assert feats[1].length == 0.0 and feats[2].length == 0.0
-        assert feats[1].left == (1.0, 0.0)  # mean coordinate
+        assert feats[1][1] == 0.0 and feats[2][1] == 0.0
+        assert tuple(feats[1][2:4]) == (1.0, 0.0)  # mean coordinate
+
+    def test_edgeless_shapes(self):
+        assert edge_features(GeometricGraph([])).shape == (0, 6)
+        assert edge_features(GeometricGraph([0, 1], coords={0: (0, 0), 1: (1, 1)})).shape == (0, 6)
+
+    def test_rows_then_empty_slots_at_mean(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            base = random_geometric(rng, rng.randint(1, 7))
+            extra = rng.randint(0, 3)
+            g = GeometricGraph(base.vertices, base.edges, base.coords, empty_edges=extra)
+            feats = edge_features(g)
+            assert feats.shape == (g.m + extra, 6)
+            for row, (u, v) in zip(feats, g.edges):
+                assert (row == segment_row(g.coords[u], g.coords[v])).all()
+            mx, my = g.mean_coord()
+            assert (feats[g.m :] == (0.0, 0.0, mx, my, mx, my)).all()
 
 
 # -- elementary distances --------------------------------------------------
@@ -286,8 +308,8 @@ class TestEdgeDistance:
         rng = random.Random(29)
         g = random_geometric(rng, 6, p=0.7)
         moved = similarity_copy(g, rng.uniform(0, math.tau), 1.0, (2.0, -1.0))
-        lengths = sorted(f.length for f in edge_features(g))
-        moved_lengths = sorted(f.length for f in edge_features(moved))
+        lengths = sorted(edge_features(g)[:, 1])
+        moved_lengths = sorted(edge_features(moved)[:, 1])
         assert lengths == pytest.approx(moved_lengths)
 
     def test_matches_permutation_oracle(self):
@@ -511,6 +533,19 @@ class TestGraphAlignment:
             graph_alignment(edgeless, g)
 
 
+def padded_features(g, n):
+    """g's feature rows followed by empty rows at its mean, n rows in all."""
+    mx, my = g.mean_coord()
+    feats = edge_features(g)
+    return np.vstack((feats, np.tile((0.0, 0.0, mx, my, mx, my), (n - len(feats), 1))))
+
+
+def longest_edge_ends(feats):
+    """(left, right) of the first longest row."""
+    ref = max(feats, key=lambda f: f[1]).tolist()
+    return tuple(ref[2:4]), tuple(ref[4:6])
+
+
 def reference_alignment(g1, g2, variant="ed"):
     """graph_alignment as a plain loop: every candidate is built as a graph
     and scored by full assignments (ED then EDM, or EDM alone)."""
@@ -519,17 +554,14 @@ def reference_alignment(g1, g2, variant="ed"):
         else (DistanceWeights(w4=0.0), DistanceWeights())
     )
     feats1 = edge_features(g1)
-    ref = max(feats1, key=lambda f: f.length)
+    left, right = longest_edge_ends(feats1)
     n = max(len(feats1), g2.m + g2.empty_edges)
-    feats1 += [empty_edge_feature(g1.mean_coord())] * (n - len(feats1))
+    feats1 = padded_features(g1, n)
 
     def scores(candidate):
-        feats2 = edge_features(candidate)
-        feats2 += [empty_edge_feature(candidate.mean_coord())] * (n - len(feats2))
+        feats2 = padded_features(candidate, n)
         costs = [
-            solve_lsap(
-                _edge_cost_matrix(_feature_array(feats1), _feature_array(feats2), w)
-            ).total_cost
+            solve_lsap(_edge_cost_matrix(feats1, feats2, w)).total_cost
             for w in score_weights
         ]
         return costs[0], costs[-1]
@@ -538,7 +570,7 @@ def reference_alignment(g1, g2, variant="ed"):
     for f in g2.edges:
         if g2.coords[f[0]] == g2.coords[f[1]]:
             continue
-        for e_ref in ((ref.left, ref.right), (ref.right, ref.left)):
+        for e_ref in ((left, right), (right, left)):
             candidate = geometric_transform(g2, f, e_ref)
             primary, secondary = scores(candidate)
             if primary < best_primary - 1e-9 or (
@@ -640,17 +672,29 @@ class TestAlignmentMatchesReference:
                 moved += got is not p2
         assert moved >= 150  # most pairs do pick a transform
 
+    def test_unpadded_pairs_both_variants(self):
+        # either side may hold more edge slots, so g1's rows get padded here
+        padded = 0
+        for g1, g2 in self.random_pairs():
+            if not (geometric._has_alignable_edge(g1) and geometric._has_alignable_edge(g2)):
+                continue
+            padded += g2.m + g2.empty_edges > g1.m + g1.empty_edges
+            for variant in ("ed", "edm"):
+                got = graph_alignment(g1, g2, variant)
+                self.assert_same_graph(got, reference_alignment(g1, g2, variant))
+        assert padded >= 20
+
     def test_placements_equal_built_candidates(self):
         for g1, g2 in self.random_pairs():
             p1, p2 = pad_to_equal(g1, g2)
             if not (geometric._has_alignable_edge(p1) and geometric._has_alignable_edge(p2)):
                 continue
-            ref = max(edge_features(p1), key=lambda f: f.length)
+            left, right = longest_edge_ends(edge_features(p1))
             moves = [
                 (f, e_ref)
                 for f in p2.edges
                 if p2.coords[f[0]] != p2.coords[f[1]]
-                for e_ref in ((ref.left, ref.right), (ref.right, ref.left))
+                for e_ref in ((left, right), (right, left))
             ]
             placements = _placements(p2, moves)
             index = {v: i for i, v in enumerate(p2.vertices)}
@@ -660,8 +704,7 @@ class TestAlignmentMatchesReference:
             built = [p2] + [geometric_transform(p2, *move) for move in moves]
             for coords, row, g in zip(placements, feats, built):
                 assert coords.tolist() == [list(g.coords[v]) for v in p2.vertices]
-                want = edge_features(g) + [empty_edge_feature(g.mean_coord())] * 2
-                assert (row == _feature_array(want)).all()
+                assert (row == padded_features(g, slots)).all()
 
     def test_exact_ties(self):
         for g1, g2, identity_wins in self.tie_pairs():
@@ -844,6 +887,13 @@ class TestGeometricGraphDistance:
         aligned = geometric_graph_distance(g1, g2, align=True)
         assert aligned == pytest.approx(0.0, abs=1e-7)
         assert aligned < unaligned
+
+    def test_requires_coordinates(self):
+        plain = AttributedGraph([0, 1], [(0, 1)])
+        for g1, g2 in ((plain, square()), (square(), plain), (plain, plain)):
+            for align in (False, True):
+                with pytest.raises(ValueError, match="coordinates"):
+                    geometric_graph_distance(g1, g2, align=align)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
