@@ -1,15 +1,17 @@
 """Benchmark harness: matcher specs, kNN classification, timing, tuning.
 
 A matcher is named by a compact text form, e.g. ``ged-beam(10)`` or
-``r-ged(0.25,pagerank)``; ``MatcherSpec`` validates the text once and turns
-graph pairs into distances.  On top of that sit a nearest-neighbor
-classifier with deterministic tie-breaking, a wall-clock timing loop, and a
-steepest-ascent search over the geometric distance weights.
+``r-ged(0.25,pagerank)``; ``MatcherSpec`` validates the text once, prepares
+graphs and turns pairs of prepared graphs into distances.  On top of that
+sit a nearest-neighbor classifier with deterministic tie-breaking, a
+wall-clock timing loop, and a steepest-ascent search over the geometric
+distance weights.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import re
 import statistics
 import time
@@ -18,11 +20,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .centrality import MEASURES, r_centrality_ged, t_centrality_ged
-from .contraction import hged, k_star_ged
+from . import centrality, contraction
+from .centrality import MEASURES
+# perfbench/tracing.py wraps these names here; the pair steps no longer call them
+from .centrality import r_centrality_ged, t_centrality_ged  # noqa: F401
+from .contraction import hged, k_star_ged  # noqa: F401
 from .datasets import DatasetSplit
 from .editdist import DEFAULT_PARAMS, EditCostParams, ged, ged_bipartite
-from .geometric import DistanceWeights, geometric_graph_distance
+from .geometric import DistanceWeights, geometric_graph_distance, geometric_rows, rows_distance
 
 METHODS = (
     "ged",
@@ -62,6 +67,19 @@ def _parse_method(text: str) -> tuple[str, list[str]]:
     return name, args
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedGraph:
+    """A graph as one matcher's pair step reads it (``MatcherSpec.prepare``).
+
+    ``spec`` is the preparing matcher's (method, cost_params) and ``data``
+    its per-graph result: the graph itself, its contraction, or its
+    geometric rows.
+    """
+
+    spec: tuple[str, EditCostParams]
+    data: object
+
+
 @dataclass(frozen=True)
 class MatcherSpec:
     """A named graph distance plus its edit-cost constants.
@@ -69,6 +87,11 @@ class MatcherSpec:
     Method forms: ``ged``, ``ged-beam(w)``, ``bipartite``, ``hged[(w)]``,
     ``kstar-ged(k[,w])``, ``r-ged(r,measure)``, ``t-ged(t,measure)``,
     ``geometric(w1,w2,w3,w4[,align])`` with w >= 1, k >= 0, 0 <= r <= 1.
+
+    A distance runs in two steps: ``prepare`` does the per-graph work once
+    (the contraction of the contracting matchers, the coordinate and edge
+    feature rows of unaligned ``geometric``), and the pair step matches two
+    prepared graphs.  ``distance`` accepts graphs and prepared graphs alike.
     """
 
     method: str
@@ -77,37 +100,57 @@ class MatcherSpec:
     def __post_init__(self):
         _compiled(self.method, self.cost_params)
 
+    def prepare(self, g) -> PreparedGraph:
+        """g prepared for this matcher; a graph it prepared already is
+        returned as it is."""
+        key = (self.method, self.cost_params)
+        if isinstance(g, PreparedGraph):
+            if g.spec != key:
+                raise ValueError(f"graph prepared for {g.spec[0]!r}, not {self.method!r}")
+            return g
+        return PreparedGraph(key, _compiled(*key)[0](g))
+
     def distance(self, g1, g2) -> float:
-        return _compiled(self.method, self.cost_params)(g1, g2)
+        pair = _compiled(self.method, self.cost_params)[1]
+        return pair(self.prepare(g1).data, self.prepare(g2).data)
+
+
+def _unchanged(g):
+    return g
 
 
 @lru_cache(maxsize=None)
 def _compiled(method: str, p: EditCostParams):
+    """(prepare, pair): the per-graph step and the pair step of a method."""
     name, args = _parse_method(method)
+
+    def edit_distance(w=None):
+        # module-level names are looked up at call time, so patched ones are honoured
+        return lambda a, b: ged(a, b, p, beam_width=w).total_cost
+
     if name == "ged":
         if args:
             raise ValueError("ged takes no arguments")
-        return lambda a, b: ged(a, b, p).total_cost
+        return _unchanged, edit_distance()
     if name == "ged-beam":
         if len(args) != 1:
             raise ValueError("ged-beam takes exactly (w)")
-        w = _int_arg(args[0], "beam width", 1)
-        return lambda a, b: ged(a, b, p, beam_width=w).total_cost
+        return _unchanged, edit_distance(_int_arg(args[0], "beam width", 1))
     if name == "bipartite":
         if args:
             raise ValueError("bipartite takes no arguments")
-        return lambda a, b: ged_bipartite(a, b, p).total_cost
+        return _unchanged, lambda a, b: ged_bipartite(a, b, p).total_cost
     if name == "hged":
         if len(args) > 1:
             raise ValueError("hged takes at most (w)")
         w = _int_arg(args[0], "beam width", 1) if args else None
-        return lambda a, b: hged(a, b, p, beam_width=w).total_cost
+        return (lambda g: contraction.path_contract(g)[0]), edit_distance(w)
     if name == "kstar-ged":
         if len(args) not in (1, 2):
             raise ValueError("kstar-ged takes (k) or (k,w)")
         k = _int_arg(args[0], "k", 0)
         w = _int_arg(args[1], "beam width", 1) if len(args) == 2 else None
-        return lambda a, b: k_star_ged(a, b, k, p, beam_width=w).total_cost
+        return (lambda g: contraction.k_star_node_contraction(g, k)[0]), edit_distance(w)
     if name in ("r-ged", "t-ged"):
         if len(args) != 2:
             raise ValueError(f"{name} takes exactly (value,measure)")
@@ -118,20 +161,22 @@ def _compiled(method: str, p: EditCostParams):
             r = _float_arg(args[0], "r")
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"r must be in [0, 1], got {r}")
-            return lambda a, b: r_centrality_ged(a, b, r, measure, p).total_cost
+            return (
+                lambda g: centrality.r_centrality_node_contraction(g, r, measure)[0]
+            ), edit_distance()
         t = _int_arg(args[0], "t", 0)
-        return lambda a, b: t_centrality_ged(a, b, t, measure, p).total_cost
+        return (
+            lambda g: centrality.t_centrality_node_contraction(g, t, measure)[0]
+        ), edit_distance()
     if len(args) not in (4, 5):
         raise ValueError("geometric takes (w1,w2,w3,w4) or (w1,w2,w3,w4,align)")
     weights = DistanceWeights(*(_float_arg(a, "weight") for a in args[:4]))
-    align = False
-    if len(args) == 5:
-        if args[4] != "align":
-            raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
-        align = True
-
-    # looked up at call time, so a patched module-level name is honoured
-    return lambda a, b: geometric_graph_distance(a, b, weights, align=align)
+    if len(args) == 4:
+        return geometric_rows, lambda a, b: rows_distance(a, b, weights)
+    if args[4] != "align":
+        raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
+    # alignment depends on both graphs, so it is all pair step
+    return _unchanged, lambda a, b: geometric_graph_distance(a, b, weights, align=True)
 
 
 def split_method_list(text: str) -> list[str]:
@@ -145,6 +190,10 @@ def split_method_list(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class BenchResult:
+    """Accuracies of one kNN run.  ``mean_time_ms`` and ``pair_count`` cover
+    the pairs that returned a distance and time the pair step only: each
+    graph's preparation runs once per run, outside the per-pair timers."""
+
     method: MatcherSpec
     per_class_accuracy: dict[str, float]
     mean_accuracy: float
@@ -160,29 +209,54 @@ class BenchResult:
             raise ValueError("mean_time_ms must be >= 0")
 
 
-def _distance_row(matcher, test_inst, train):
-    """Distances from one test instance to every training instance.
+def _prepared(matcher, instances):
+    """(source id, graph prepared for the matcher) of every instance.  A graph
+    whose preparation raises stays as it is, so that each of its pairs raises
+    the same error in ``_distance_row``."""
+    out = []
+    for inst in instances:
+        try:
+            g = matcher.prepare(inst.graph)
+        except (ValueError, TypeError):
+            g = inst.graph
+        out.append((inst.source_id, g))
+    return out
 
+
+def _distance_row(matcher, test, train):
+    """Distances from one prepared test graph to every prepared training graph.
+
+    ``test`` is a (source id, graph) pair and ``train`` a list of them.
     Returns (distances, times, failures); failed pairs hold None and are
     excluded from timing.
     """
+    test_id, test_graph = test
     distances, times, failures = [], [], []
-    for train_inst in train.instances:
+    for train_id, train_graph in train:
         start = time.perf_counter()
         try:
-            d = matcher.distance(test_inst.graph, train_inst.graph)
+            d = matcher.distance(test_graph, train_graph)
         except (ValueError, TypeError) as e:
             distances.append(None)
-            failures.append(f"{test_inst.source_id} vs {train_inst.source_id}: {e}")
+            failures.append(f"{test_id} vs {train_id}: {e}")
             continue
         times.append(time.perf_counter() - start)
         distances.append(d)
     return distances, times, failures
 
 
-def _worker_row(args):
-    matcher, test_inst, train = args
-    return _distance_row(matcher, test_inst, train)
+# a pool worker's matcher and prepared training graphs, set once per worker
+_worker_args = None
+
+
+def _init_worker(matcher, train):
+    global _worker_args
+    _worker_args = (matcher, train)
+
+
+def _worker_row(test):
+    matcher, train = _worker_args
+    return _distance_row(matcher, test, train)
 
 
 def _vote(distances, train, k: int) -> str | None:
@@ -239,23 +313,33 @@ def knn_classify(
     """Classify each test instance by majority vote of its k nearest
     training instances under the matcher's distance.
 
+    Each train and test graph is prepared once per call
+    (``MatcherSpec.prepare``) and every pair then runs the matcher's pair
+    step on the prepared graphs; nothing prepared outlives the call.
     Accuracy is the percentage of correctly labeled test instances, overall
     and per class.  Pairs on which the matcher raises are recorded as
     failures, excluded from timing, and leave the test instance to be
     classified from whatever distances remain (none at all counts as a
-    miss).  ``jobs`` > 1 spreads test rows over processes; timing stays
-    per-pair wall clock either way.
+    miss).  ``jobs`` > 1 spreads test rows over processes, each of which
+    receives the matcher and the prepared training graphs once; timing stays
+    per-pair wall clock of the pair step either way.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not train.instances or not test.instances:
         raise ValueError("train and test splits must be nonempty")
+    train_graphs = _prepared(matcher, train.instances)
+    test_graphs = _prepared(matcher, test.instances)
     if jobs > 1:
-        work = [(matcher, inst, train) for inst in test.instances]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker_row, work))
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(matcher, train_graphs),
+        ) as pool:
+            results = list(pool.map(_worker_row, test_graphs))
     else:
-        results = [_distance_row(matcher, inst, train) for inst in test.instances]
+        results = [_distance_row(matcher, t, train_graphs) for t in test_graphs]
 
     rows = [r[0] for r in results]
     times = [t for r in results for t in r[1]]
@@ -298,9 +382,11 @@ class TimingSummary:
 def benchmark(pairs, matcher: MatcherSpec, repetitions: int = 3) -> TimingSummary:
     """Wall-clock the matcher over a list of graph pairs.
 
-    Each pair runs ``repetitions`` times (no warmup) and contributes its
-    fastest time; the summary aggregates mean/median/min across pairs.  The
-    distance of each pair is kept for cross-method comparison plots.
+    Each pair runs ``repetitions`` times (no warmup), each time a full
+    ``distance(g1, g2)`` call with both graphs' preparation included, and
+    contributes its fastest time; the summary aggregates mean/median/min
+    across pairs.  The distance of each pair is kept for cross-method
+    comparison plots.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")

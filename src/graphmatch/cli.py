@@ -102,6 +102,8 @@ def _cmd_classify(args) -> int:
     result = knn_classify(
         train, test, matcher, args.knn, jobs=args.jobs, audit=args.audit
     )
+    if result.failures and result.pair_count == 0:
+        raise ValueError(f"every pair failed: {result.failures[0]}")
     classes = sorted(result.per_class_accuracy)
     _write_csv(
         args.out,

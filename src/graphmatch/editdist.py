@@ -441,10 +441,13 @@ def _beam(ctx: _SearchContext, width: int) -> EditPath:
 # -- bipartite approximation -------------------------------------------------
 
 
-def _local_edge_cost(g1, g2, u, v, params) -> float:
-    """Optimal assignment between the incident edge sets of u and v."""
-    l1 = [g1.edge_label(u, w) for w in g1.neighbors(u)]
-    l2 = [g2.edge_label(v, w) for w in g2.neighbors(v)]
+def _incident_labels(g: AttributedGraph) -> list[list]:
+    """Each vertex's incident edge labels, in vertex and neighbor order."""
+    return [[g.edge_label(u, w) for w in g.neighbors(u)] for u in g.vertices]
+
+
+def _local_edge_cost(l1, l2, params) -> float:
+    """Optimal assignment between two vertices' incident edge label lists."""
     d1, d2 = len(l1), len(l2)
     if d1 == 0 and d2 == 0:
         return 0.0
@@ -478,11 +481,12 @@ def ged_bipartite(
         return EditPath((), 0.0)
     size = n1 + n2
     cost = np.full((size, size), np.inf)
+    incident1, incident2 = _incident_labels(g1), _incident_labels(g2)
     for i, u in enumerate(g1.vertices):
         for j, v in enumerate(g2.vertices):
             cost[i, j] = params.y_node * label_distance(
                 g1.node_label(u), g2.node_label(v)
-            ) + _local_edge_cost(g1, g2, u, v, params)
+            ) + _local_edge_cost(incident1[i], incident2[j], params)
         cost[i, n2 + i] = params.x_node + params.x_edge * g1.degree(u)
     for j, v in enumerate(g2.vertices):
         cost[n1 + j, j] = params.x_node + params.x_edge * g2.degree(v)

@@ -22,6 +22,11 @@ Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
 (angle 0, length 0, endpoints at the graph mean).  Empty slots are counted
 on the graph (``empty_edges``), never materialized as structural edges.
+The unaligned weighted distance reads each graph as its ``GeometricRows``
+(coordinates, real-edge feature rows, slot count, mean), which
+``geometric_rows`` extracts once per graph; ``rows_distance`` pads the rows
+exactly as ``pad_to_equal`` pads the graphs, so a graph matched many times
+is prepared once.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -156,11 +161,16 @@ def _coord_array(g: GeometricGraph) -> np.ndarray:
     return np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2)
 
 
+def _vertex_cost_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every pair of (n, 2) coordinate rows."""
+    d = c1[:, None, :] - c2[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
 def _vertex_assignment(g1: GeometricGraph, g2: GeometricGraph) -> Assignment:
     if g1.n != g2.n:
         raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    d = _coord_array(g1)[:, None, :] - _coord_array(g2)[None, :, :]
-    return solve_lsap(np.hypot(d[..., 0], d[..., 1]))
+    return solve_lsap(_vertex_cost_matrix(_coord_array(g1), _coord_array(g2)))
 
 
 def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
@@ -237,6 +247,68 @@ def pad_to_equal(
     n_target = max(g1.n, g2.n)
     f_target = max(g1.m + g1.empty_edges, g2.m + g2.empty_edges)
     return pad(g1, n_target, f_target), pad(g2, n_target, f_target)
+
+
+# -- prepared rows -----------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GeometricRows:
+    """What the unaligned weighted distance reads of one plane graph.
+
+    ``coords`` holds the coordinates in vertex order (n, 2), ``edges`` the
+    real edges' feature rows in edge order (m, 6); ``slots`` is
+    m + empty_edges and ``mean`` the graph's ``mean_coord()``.
+    """
+
+    coords: np.ndarray
+    edges: np.ndarray
+    slots: int
+    mean: tuple[float, float]
+
+
+def _plane(g: GeometricGraph) -> GeometricGraph:
+    if not isinstance(g, GeometricGraph):
+        raise ValueError("geometric distance needs graphs with coordinates")
+    return g
+
+
+def geometric_rows(g: GeometricGraph) -> GeometricRows:
+    """g's rows for ``rows_distance``; ValueError unless g has coordinates."""
+    _plane(g)
+    real = [_segment_row(g.coords[u], g.coords[v]) for u, v in g.edges]
+    return GeometricRows(
+        _coord_array(g), np.array(real).reshape(-1, 6), g.m + g.empty_edges, g.mean_coord()
+    )
+
+
+def _padded(r: GeometricRows, n: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and feature rows of r padded to n vertices and ``slots``
+    edge slots, equal to ``pad_to_equal`` followed by ``_coord_array`` and
+    ``edge_features``: new vertices at r's mean, every empty slot at the
+    padded graph's mean, summed over its coordinates in vertex order as
+    ``mean_coord`` sums them."""
+    coords, mean = r.coords, r.mean
+    if n > len(coords):
+        coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
+        xs, ys = coords.T.tolist()
+        mean = (sum(xs) / n, sum(ys) / n)
+    feats = r.edges
+    if slots > len(feats):
+        mx, my = mean
+        empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
+        feats = np.concatenate((feats, empty))
+    return coords, feats
+
+
+def rows_distance(a: GeometricRows, b: GeometricRows, weights: DistanceWeights) -> float:
+    """The unaligned weighted distance between two prepared graphs: both are
+    padded to equal size, then w1 * VD plus the optimal edge assignment
+    total.  This is ``geometric_graph_distance`` without alignment."""
+    n, slots = max(len(a.coords), len(b.coords)), max(a.slots, b.slots)
+    (c1, f1), (c2, f2) = _padded(a, n, slots), _padded(b, n, slots)
+    vd = solve_lsap(_vertex_cost_matrix(c1, c2)).total_cost
+    return weights.w1 * vd + solve_lsap(_edge_cost_matrix(f1, f2, weights)).total_cost
 
 
 # -- alignment ---------------------------------------------------------------
@@ -498,12 +570,13 @@ def geometric_graph_distance(
     returns w1 * VD plus the optimal assignment total of
     w2 * E^A + w3 * E^L + w4 * E^P over the edge features.  With unit weights
     and no alignment this equals graph_distance_metric on the padded pair.
-    Both graphs must be GeometricGraphs (ValueError otherwise).
+    Both graphs must be GeometricGraphs (ValueError otherwise).  Without
+    alignment this is ``rows_distance`` on the two graphs' rows.
     """
-    if not isinstance(g1, GeometricGraph) or not isinstance(g2, GeometricGraph):
-        raise ValueError("geometric distance needs graphs with coordinates")
-    p1, p2 = pad_to_equal(g1, g2)
-    if align and _has_alignable_edge(p1) and _has_alignable_edge(p2):
+    if not align:
+        return rows_distance(geometric_rows(g1), geometric_rows(g2), weights)
+    p1, p2 = pad_to_equal(_plane(g1), _plane(g2))
+    if _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "edm")
     vd = vertex_distance(p1, p2)
     return weights.w1 * vd + _edge_assignment(p1, p2, weights).total_cost

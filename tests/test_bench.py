@@ -6,6 +6,10 @@ import math
 
 import pytest
 
+import pickle
+import random
+
+from graphmatch import centrality, contraction
 from graphmatch.bench import (
     BenchResult,
     MatcherSpec,
@@ -15,11 +19,19 @@ from graphmatch.bench import (
     split_method_list,
     tune_weights,
 )
-from graphmatch.centrality import r_centrality_ged
+from graphmatch.centrality import MEASURES, r_centrality_ged, t_centrality_ged
 from graphmatch.contraction import hged, k_star_ged
 from graphmatch.datasets import DatasetSplit, LabeledInstance, synthesize_corpus
 from graphmatch.editdist import EditCostParams, ged, ged_bipartite
-from graphmatch.geometric import DistanceWeights, geometric_graph_distance
+from graphmatch.geometric import (
+    DistanceWeights,
+    _edge_assignment,
+    _has_alignable_edge,
+    geometric_graph_distance,
+    graph_alignment,
+    pad_to_equal,
+    vertex_distance,
+)
 from graphmatch.graphs import AttributedGraph, GeometricGraph, random_graph
 
 VALID_METHODS = (
@@ -233,10 +245,73 @@ class TestKnnClassify:
         test = synthesize_corpus(
             classes=3, per_class=2, sigma=0.02, seed=8, jitter_seed=2, name="test"
         )
-        serial = knn_classify(train, test, MatcherSpec("kstar-ged(1)"), 1)
-        parallel = knn_classify(train, test, MatcherSpec("kstar-ged(1)"), 1, jobs=2)
-        assert serial.mean_accuracy == parallel.mean_accuracy
-        assert serial.per_class_accuracy == parallel.per_class_accuracy
+        for method in ("kstar-ged(1)", "r-ged(0.5,betweenness)", "geometric(1,1,1,1)"):
+            serial = knn_classify(train, test, MatcherSpec(method), 1)
+            parallel = knn_classify(train, test, MatcherSpec(method), 1, jobs=2)
+            assert serial.mean_accuracy == parallel.mean_accuracy
+            assert serial.per_class_accuracy == parallel.per_class_accuracy
+
+    def test_unpreparable_graphs_fail_each_pair_with_todays_message(self):
+        message = "geometric distance needs graphs with coordinates"
+        plain = AttributedGraph([0])
+        train = split_of(
+            "train",
+            point_instance(1.0, "a", "a1"),
+            LabeledInstance(plain, "b", "flat"),
+            point_instance(3.0, "b", "b1"),
+        )
+        test = split_of(
+            "test",
+            point_instance(0.0, "a", "t1"),
+            LabeledInstance(plain, "a", "t2"),
+            point_instance(2.9, "b", "t3"),
+        )
+        expected = (
+            f"t1 vs flat: {message}",
+            *(f"t2 vs {train_id}: {message}" for train_id in ("a1", "flat", "b1")),
+            f"t3 vs flat: {message}",
+        )
+        for method, jobs in (
+            ("geometric(1,1,1,1)", 1),
+            ("geometric(1,1,1,1,align)", 1),
+            ("geometric(1,1,1,1)", 2),
+        ):
+            result = knn_classify(train, test, MatcherSpec(method), 1, jobs=jobs)
+            assert result.failures == expected
+            assert result.pair_count == 4
+            assert result.per_class_accuracy == {"a": 50.0, "b": 100.0}
+
+    @pytest.mark.parametrize(
+        "module, name, method",
+        [
+            (contraction, "k_star_node_contraction", "kstar-ged(1)"),
+            (contraction, "k_star_node_contraction", "kstar-ged(2,3)"),
+            (contraction, "path_contract", "hged"),
+            (centrality, "centrality", "r-ged(0.5,betweenness)"),
+            (centrality, "centrality", "t-ged(2,pagerank)"),
+        ],
+    )
+    def test_each_graph_prepared_once_per_call(self, monkeypatch, module, name, method):
+        train = synthesize_corpus(classes=2, per_class=3, sigma=0.05, seed=11)
+        test = synthesize_corpus(
+            classes=2, per_class=2, sigma=0.05, seed=11, jitter_seed=4, name="test"
+        )
+        graphs = [inst.graph for inst in (*train.instances, *test.instances)]
+        calls = []
+        original = getattr(module, name)
+
+        def counted(g, *args):
+            calls.append(id(g))
+            return original(g, *args)
+
+        monkeypatch.setattr(module, name, counted)
+        matcher = MatcherSpec(method)
+        first = knn_classify(train, test, matcher, 1)
+        assert sorted(calls) == sorted(map(id, graphs))
+        # nothing is kept across calls: the second call prepares again
+        second = knn_classify(train, test, matcher, 1)
+        assert sorted(calls) == sorted(map(id, graphs + graphs))
+        assert first.per_class_accuracy == second.per_class_accuracy
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -245,6 +320,174 @@ class TestKnnClassify:
             BenchResult(MatcherSpec("ged"), {"a": -1.0}, 50.0, 0.0, 0)
         with pytest.raises(ValueError):
             BenchResult(MatcherSpec("ged"), {}, 50.0, -0.1, 0)
+
+
+def labelled_graph(n, p, seed):
+    """A G(n, p) graph with symbol node and edge labels."""
+    rng = random.Random(seed)
+    g = random_graph(n, p, seed=seed)
+    return AttributedGraph(
+        g.vertices,
+        g.edges,
+        {v: rng.choice("CNO") for v in g.vertices},
+        {e: rng.choice(("single", "double")) for e in g.edges},
+    )
+
+
+def with_empty_edges(g, count):
+    return GeometricGraph(
+        g.vertices, g.edges, g.coords, g.node_labels, g.edge_labels, empty_edges=count
+    )
+
+
+def graph_pairs(graphs):
+    """Consecutive pairs both ways round, so that either side gets padded."""
+    pairs = list(zip(graphs, graphs[1:]))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def letter_graphs(seed):
+    corpus = synthesize_corpus(classes=4, per_class=2, sigma=0.1, seed=seed, n_range=(3, 6))
+    return [inst.graph for inst in corpus.instances]
+
+
+def molecule_graphs(seed):
+    corpus = synthesize_corpus(classes=3, per_class=2, sigma=0.1, seed=seed, n_range=(14, 18))
+    return [inst.graph for inst in corpus.instances]
+
+
+def reference_geometric(g1, g2, weights, align):
+    """The weighted distance through padded graphs, vertex_distance and
+    _edge_assignment, as computed before graphs were prepared."""
+    p1, p2 = pad_to_equal(g1, g2)
+    if align and _has_alignable_edge(p1) and _has_alignable_edge(p2):
+        p2 = graph_alignment(p1, p2, "edm")
+    return weights.w1 * vertex_distance(p1, p2) + _edge_assignment(p1, p2, weights).total_cost
+
+
+def wrapper_distance(method, p, a, b):
+    """The distance the public module function of ``method`` returns."""
+    name, _, rest = method.partition("(")
+    args = rest.rstrip(")").split(",") if rest else []
+    if name in ("ged", "ged-beam"):
+        return ged(a, b, p, beam_width=int(args[0]) if args else None).total_cost
+    if name == "bipartite":
+        return ged_bipartite(a, b, p).total_cost
+    if name == "hged":
+        return hged(a, b, p, beam_width=int(args[0]) if args else None).total_cost
+    if name == "kstar-ged":
+        w = int(args[1]) if len(args) == 2 else None
+        return k_star_ged(a, b, int(args[0]), p, beam_width=w).total_cost
+    if name == "r-ged":
+        return r_centrality_ged(a, b, float(args[0]), args[1], p).total_cost
+    if name == "t-ged":
+        return t_centrality_ged(a, b, int(args[0]), args[1], p).total_cost
+    weights = DistanceWeights(*map(float, args[:4]))
+    return reference_geometric(a, b, weights, align=len(args) == 5)
+
+
+GEOMETRIC_METHODS = (
+    "geometric(1,1,1,1)",
+    "geometric(0.35,0.23,0.11,0.31)",
+    "geometric(1,1,1,0)",
+    "geometric(0,1,1,1,align)",
+    "geometric(0.35,0.23,0.11,0.31,align)",
+)
+
+# exact searches run on letter-sized graphs only
+LETTER_METHODS = (
+    "ged",
+    "ged-beam(3)",
+    "bipartite",
+    "hged",
+    "hged(2)",
+    *(f"kstar-ged({k})" for k in range(4)),
+    "kstar-ged(1,2)",
+    *(f"r-ged(0.5,{m})" for m in MEASURES),
+    *(f"t-ged(2,{m})" for m in MEASURES),
+)
+
+MOLECULE_METHODS = (
+    "ged-beam(2)",
+    "bipartite",
+    "hged(2)",
+    *(f"kstar-ged({k},2)" for k in range(4)),
+)
+
+
+class TestPreparedMatchers:
+    """Prepared graphs give the public functions' distances bit for bit."""
+
+    def check(self, methods, pairs, params=EditCostParams()):
+        for method in methods:
+            spec = MatcherSpec(method, params)
+            for a, b in pairs:
+                expected = wrapper_distance(method, params, a, b)
+                pa, pb = spec.prepare(a), spec.prepare(b)
+                assert spec.distance(pa, pb) == expected, (method, a, b)
+                assert spec.distance(a, b) == expected, (method, a, b)
+                assert spec.distance(pa, b) == expected, (method, a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_letter_sized_graphs(self, seed):
+        graphs = letter_graphs(seed)
+        self.check(LETTER_METHODS + GEOMETRIC_METHODS, graph_pairs(graphs))
+
+    def test_labelled_graphs_and_cost_params(self):
+        graphs = [labelled_graph(n, 0.35, seed=n) for n in (3, 4, 5, 6, 6)]
+        graphs.append(AttributedGraph([]))
+        params = EditCostParams(2.0, 1.5, 0.5, 1.0, 0.25)
+        self.check(LETTER_METHODS, graph_pairs(graphs), params)
+
+    def test_molecule_sized_graphs(self):
+        graphs = molecule_graphs(3)
+        self.check(MOLECULE_METHODS + GEOMETRIC_METHODS, graph_pairs(graphs))
+        self.check(
+            (f"t-ged(12,{m})" for m in MEASURES), graph_pairs(graphs[:3])
+        )
+
+    def test_geometric_padding_and_empty_edges(self):
+        graphs = letter_graphs(5) + molecule_graphs(5)[:2]
+        padded = [with_empty_edges(g, k) for g, k in zip(graphs, (0, 3, 1, 0, 5, 2, 0, 1, 4, 0))]
+        point = GeometricGraph([7], coords={7: (0.25, -1.5)})
+        edgeless = GeometricGraph([0, 1, 2], coords={0: (0, 0), 1: (2, 1), 2: (-1, 4)})
+        empty = GeometricGraph([])
+        pairs = graph_pairs(padded + [point, edgeless, empty, padded[0]])
+        pairs += [(g, g) for g in padded[:3]]
+        self.check(GEOMETRIC_METHODS, pairs)
+        for a, b in pairs:
+            for method in GEOMETRIC_METHODS:
+                weights = DistanceWeights(*map(float, method[10:-1].split(",")[:4]))
+                align = method.endswith("align)")
+                assert geometric_graph_distance(a, b, weights, align) == reference_geometric(
+                    a, b, weights, align
+                )
+
+    def test_prepare_is_idempotent_and_spec_bound(self):
+        g1, g2 = letter_graphs(7)[:2]
+        spec = MatcherSpec("kstar-ged(1)")
+        prepared = spec.prepare(g1)
+        assert spec.prepare(prepared) is prepared
+        assert MatcherSpec("kstar-ged(1)").prepare(prepared) is prepared
+        with pytest.raises(ValueError, match="prepared for"):
+            MatcherSpec("kstar-ged(2)").distance(prepared, g2)
+        with pytest.raises(ValueError, match="prepared for"):
+            MatcherSpec("kstar-ged(1)", EditCostParams(x_node=2.0)).prepare(prepared)
+
+    def test_prepared_graphs_pickle(self):
+        g1, g2 = molecule_graphs(8)[:2]
+        for method in MOLECULE_METHODS + GEOMETRIC_METHODS + ("r-ged(0.5,eigenvector)",):
+            spec = MatcherSpec(method)
+            pa, pb = spec.prepare(g1), spec.prepare(g2)
+            copies = pickle.loads(pickle.dumps((spec, pa, pb)))
+            if method.startswith("r-ged"):
+                continue  # exact search on 16-vertex graphs: too slow here
+            assert copies[0].distance(copies[1], copies[2]) == spec.distance(pa, pb)
+
+    def test_geometric_needs_coordinates_at_prepare(self):
+        for method in GEOMETRIC_METHODS[:3]:
+            with pytest.raises(ValueError, match="coordinates"):
+                MatcherSpec(method).prepare(AttributedGraph([0]))
 
 
 class TestBenchmark:

@@ -41,6 +41,20 @@ def synth_corpus(tmp_path, name, split="train", **kwargs):
     return out, out / f"{split}.cxl"
 
 
+def molecule_corpus_without_coordinates(tmp_path):
+    """Four labelled GXL graphs without x/y and their CXL index."""
+    entries = []
+    for i in range(4):
+        g = AttributedGraph(range(3), [(0, 1), (1, 2)][: 1 + i % 2], {0: "C", 1: "O", 2: "C"})
+        (tmp_path / f"m{i}.gxl").write_text(write_gxl(g))
+        entries.append(f'<print file="m{i}.gxl" class="{"ab"[i % 2]}"/>')
+    index = tmp_path / "train.cxl"
+    index.write_text(
+        "<GraphCollection><fingerprints>" + "".join(entries) + "</fingerprints></GraphCollection>"
+    )
+    return index
+
+
 class TestSynth:
     def test_writes_corpus_and_index(self, tmp_path):
         out, index = synth_corpus(tmp_path, "corpus")
@@ -97,6 +111,23 @@ class TestClassify:
         )
         assert code == 0
         assert float(read_csv(out)[0]["mean_accuracy"]) == 100.0
+
+    def test_corpus_without_coordinates_rejected(self, tmp_path, capsys):
+        index = molecule_corpus_without_coordinates(tmp_path)
+        out = tmp_path / "acc.csv"
+        code = run(
+            "classify",
+            "--train", index,
+            "--test", index,
+            "--data", tmp_path,
+            "--profile", "molecule",
+            "--method", "geometric(1,1,1,1)",
+            "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: every pair failed: " in err and "coordinates" in err
+        assert not out.exists()
 
     def test_unknown_method_fails_cleanly(self, tmp_path, capsys):
         data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
