@@ -20,14 +20,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import centrality, contraction
+from . import centrality, contraction, geometric
 from .centrality import MEASURES
 # perfbench/tracing.py wraps these names here; the pair steps no longer call them
 from .centrality import r_centrality_ged, t_centrality_ged  # noqa: F401
 from .contraction import hged, k_star_ged  # noqa: F401
 from .datasets import DatasetSplit
 from .editdist import DEFAULT_PARAMS, EditCostParams, ged, ged_bipartite
-from .geometric import DistanceWeights, geometric_graph_distance, geometric_rows, rows_distance
+from .geometric import DistanceWeights, geometric_graph_distance
 
 METHODS = (
     "ged",
@@ -172,7 +172,7 @@ def _compiled(method: str, p: EditCostParams):
         raise ValueError("geometric takes (w1,w2,w3,w4) or (w1,w2,w3,w4,align)")
     weights = DistanceWeights(*(_float_arg(a, "weight") for a in args[:4]))
     if len(args) == 4:
-        return geometric_rows, lambda a, b: rows_distance(a, b, weights)
+        return geometric.geometric_rows, lambda a, b: geometric_graph_distance(a, b, weights)
     if args[4] != "align":
         raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
     # alignment depends on both graphs, so it is all pair step
@@ -423,14 +423,16 @@ def _normalized(values) -> DistanceWeights:
     return DistanceWeights(*(v / total for v in values))
 
 
-def _weighted_accuracy(train, validation, weights, align):
-    """1-NN validation accuracy, voting exactly as ``knn_classify`` does."""
+def _weighted_accuracy(train, validation, prepared, weights, align):
+    """1-NN validation accuracy, voting exactly as ``knn_classify`` does.
+
+    ``prepared`` holds the train and the validation graphs as ``tune_weights``
+    prepared them; each pair costs one distance call.
+    """
+    train_graphs, validation_graphs = prepared
     correct = 0
-    for inst in validation.instances:
-        row = [
-            geometric_graph_distance(inst.graph, other.graph, weights, align=align)
-            for other in train.instances
-        ]
+    for inst, a in zip(validation.instances, validation_graphs):
+        row = [geometric_graph_distance(a, b, weights, align=align) for b in train_graphs]
         if _vote(row, train, 1) == inst.class_label:
             correct += 1
     return correct / len(validation.instances)
@@ -449,13 +451,20 @@ def tune_weights(
     single +/-delta coordinate move (renormalized) that most improves 1-NN
     validation accuracy; stop when no move improves it.  Deterministic:
     moves are tried in a fixed order and only strict improvements are taken.
+
+    Without alignment each train and validation graph is prepared once per
+    call (its ``geometric_rows``) and every weight vector re-scores the
+    prepared rows; nothing prepared outlives the call.  Alignment depends on
+    both graphs, so aligned tuning prepares nothing.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    prepare = _unchanged if align else geometric.geometric_rows
+    prepared = [[prepare(inst.graph) for inst in split.instances] for split in (train, validation)]
     current = _normalized(start.as_tuple())
-    current_accuracy = _weighted_accuracy(train, validation, current, align)
+    current_accuracy = _weighted_accuracy(train, validation, prepared, current, align)
     while True:
         best_move = None
         for i in range(4):
@@ -468,7 +477,7 @@ def tune_weights(
                     candidate = _normalized(moved)
                 except ValueError:
                     continue
-                accuracy = _weighted_accuracy(train, validation, candidate, align)
+                accuracy = _weighted_accuracy(train, validation, prepared, candidate, align)
                 if accuracy > current_accuracy and (
                     best_move is None or accuracy > best_move[0]
                 ):

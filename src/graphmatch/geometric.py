@@ -24,9 +24,10 @@ the smaller graph's own vertices, extra edge slots as "empty" rows
 on the graph (``empty_edges``), never materialized as structural edges.
 The unaligned weighted distance reads each graph as its ``GeometricRows``
 (coordinates, real-edge feature rows, slot count, mean), which
-``geometric_rows`` extracts once per graph; ``rows_distance`` pads the rows
-exactly as ``pad_to_equal`` pads the graphs, so a graph matched many times
-is prepared once.
+``geometric_rows`` extracts once per graph and ``geometric_graph_distance``
+accepts in place of the graph; the rows are padded exactly as
+``pad_to_equal`` pads the graphs, so a graph matched many times is prepared
+once.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -274,12 +275,17 @@ def _plane(g: GeometricGraph) -> GeometricGraph:
 
 
 def geometric_rows(g: GeometricGraph) -> GeometricRows:
-    """g's rows for ``rows_distance``; ValueError unless g has coordinates."""
+    """g's rows for the unaligned ``geometric_graph_distance``; ValueError
+    unless g has coordinates."""
     _plane(g)
     real = [_segment_row(g.coords[u], g.coords[v]) for u, v in g.edges]
     return GeometricRows(
         _coord_array(g), np.array(real).reshape(-1, 6), g.m + g.empty_edges, g.mean_coord()
     )
+
+
+def _rows_of(g) -> GeometricRows:
+    return g if isinstance(g, GeometricRows) else geometric_rows(g)
 
 
 def _padded(r: GeometricRows, n: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,10 +307,10 @@ def _padded(r: GeometricRows, n: int, slots: int) -> tuple[np.ndarray, np.ndarra
     return coords, feats
 
 
-def rows_distance(a: GeometricRows, b: GeometricRows, weights: DistanceWeights) -> float:
+def _rows_distance(a: GeometricRows, b: GeometricRows, weights: DistanceWeights) -> float:
     """The unaligned weighted distance between two prepared graphs: both are
     padded to equal size, then w1 * VD plus the optimal edge assignment
-    total.  This is ``geometric_graph_distance`` without alignment."""
+    total."""
     n, slots = max(len(a.coords), len(b.coords)), max(a.slots, b.slots)
     (c1, f1), (c2, f2) = _padded(a, n, slots), _padded(b, n, slots)
     vd = solve_lsap(_vertex_cost_matrix(c1, c2)).total_cost
@@ -559,8 +565,8 @@ def geometric_graph_isomorphism(
 
 
 def geometric_graph_distance(
-    g1: GeometricGraph,
-    g2: GeometricGraph,
+    g1: GeometricGraph | GeometricRows,
+    g2: GeometricGraph | GeometricRows,
     weights: DistanceWeights = DistanceWeights(),
     align: bool = False,
 ) -> float:
@@ -571,10 +577,15 @@ def geometric_graph_distance(
     w2 * E^A + w3 * E^L + w4 * E^P over the edge features.  With unit weights
     and no alignment this equals graph_distance_metric on the padded pair.
     Both graphs must be GeometricGraphs (ValueError otherwise).  Without
-    alignment this is ``rows_distance`` on the two graphs' rows.
+    alignment either graph may be given as its ``geometric_rows``, with the
+    same result bit for bit, so that a graph matched many times is prepared
+    once; alignment depends on both graphs and takes graphs only (ValueError
+    for rows).
     """
     if not align:
-        return rows_distance(geometric_rows(g1), geometric_rows(g2), weights)
+        return _rows_distance(_rows_of(g1), _rows_of(g2), weights)
+    if isinstance(g1, GeometricRows) or isinstance(g2, GeometricRows):
+        raise ValueError("alignment needs both graphs, not their geometric rows")
     p1, p2 = pad_to_equal(_plane(g1), _plane(g2))
     if _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "edm")

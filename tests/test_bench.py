@@ -9,11 +9,13 @@ import pytest
 import pickle
 import random
 
-from graphmatch import centrality, contraction
+from graphmatch import bench, centrality, contraction, geometric
 from graphmatch.bench import (
     BenchResult,
     MatcherSpec,
     TimingSummary,
+    _normalized,
+    _vote,
     benchmark,
     knn_classify,
     split_method_list,
@@ -25,9 +27,11 @@ from graphmatch.datasets import DatasetSplit, LabeledInstance, synthesize_corpus
 from graphmatch.editdist import EditCostParams, ged, ged_bipartite
 from graphmatch.geometric import (
     DistanceWeights,
+    GeometricRows,
     _edge_assignment,
     _has_alignable_edge,
     geometric_graph_distance,
+    geometric_rows,
     graph_alignment,
     pad_to_equal,
     vertex_distance,
@@ -596,3 +600,145 @@ class TestTuneWeights:
     def test_deterministic(self):
         train, val = self.ladder_corpus()
         assert tune_weights(train, val, delta=0.1) == tune_weights(train, val, delta=0.1)
+
+
+def reference_tune(train, validation, start=DistanceWeights(0.25, 0.25, 0.25, 0.25),
+                   delta=0.02, align=False):
+    """tune_weights as it was before graphs were prepared: every pair passes
+    its two graphs straight to geometric_graph_distance."""
+
+    def accuracy(weights):
+        correct = 0
+        for inst in validation.instances:
+            row = [
+                geometric_graph_distance(inst.graph, other.graph, weights, align=align)
+                for other in train.instances
+            ]
+            if _vote(row, train, 1) == inst.class_label:
+                correct += 1
+        return correct / len(validation.instances)
+
+    current = _normalized(start.as_tuple())
+    current_accuracy = accuracy(current)
+    while True:
+        best_move = None
+        for i in range(4):
+            for step in (delta, -delta):
+                moved = list(current.as_tuple())
+                moved[i] += step
+                if moved[i] < 0:
+                    continue
+                try:
+                    candidate = _normalized(moved)
+                except ValueError:
+                    continue
+                score = accuracy(candidate)
+                if score > current_accuracy and (best_move is None or score > best_move[0]):
+                    best_move = (score, candidate)
+        if best_move is None:
+            return current
+        current_accuracy, current = best_move
+
+
+def tune_corpus(seed):
+    """Noisy train and validation splits whose graphs differ in vertex and
+    edge counts (so pairs pad either side), some with explicit empty edge
+    slots, plus a point graph and an edgeless graph on each side."""
+    train = synthesize_corpus(classes=4, per_class=2, sigma=0.5, seed=seed, n_range=(3, 6))
+    validation = synthesize_corpus(
+        classes=4, per_class=2, sigma=0.5, seed=seed, n_range=(3, 6),
+        jitter_seed=seed + 50, name="validation",
+    )
+    point = GeometricGraph([7], coords={7: (0.25, -1.5)})
+    edgeless = GeometricGraph([0, 1, 2], coords={0: (0, 0), 1: (2, 1), 2: (-1, 4)})
+
+    def varied(split, empty_edges, extra):
+        labels = split.classes
+        instances = [
+            LabeledInstance(with_empty_edges(inst.graph, k), inst.class_label, inst.source_id)
+            for inst, k in zip(split.instances, empty_edges)
+        ]
+        instances += [
+            LabeledInstance(g, labels[i % len(labels)], f"extra-{i}") for i, g in enumerate(extra)
+        ]
+        return split_of(split.name, *instances)
+
+    return (
+        varied(train, (0, 2, 1, 0, 3, 0, 0, 1), (point, edgeless)),
+        varied(validation, (1, 0, 2, 0, 0, 0, 1, 0), (edgeless, point)),
+    )
+
+
+class TestTuneOnPreparedRows:
+    """tune_weights prepares each graph once per call and returns what the
+    one-graph-pair-at-a-time loop returns."""
+
+    def counters(self, monkeypatch):
+        distance_args, prepared = [], []
+        distance, rows = bench.geometric_graph_distance, geometric.geometric_rows
+
+        def counted_distance(a, b, *args, **kwargs):
+            distance_args.append((a, b))
+            return distance(a, b, *args, **kwargs)
+
+        def counted_rows(g):
+            prepared.append(id(g))
+            return rows(g)
+
+        monkeypatch.setattr(bench, "geometric_graph_distance", counted_distance)
+        monkeypatch.setattr(geometric, "geometric_rows", counted_rows)
+        return distance_args, prepared
+
+    def test_each_graph_prepared_once_per_call(self, monkeypatch):
+        train, validation = tune_corpus(3)
+        graphs = [inst.graph for inst in (*train.instances, *validation.instances)]
+        distance_args, prepared = self.counters(monkeypatch)
+        first = tune_weights(train, validation, delta=0.2)
+        pairs = len(train.instances) * len(validation.instances)
+        assert distance_args and len(distance_args) % pairs == 0
+        assert sorted(prepared) == sorted(map(id, graphs))
+        assert all(
+            isinstance(a, GeometricRows) and isinstance(b, GeometricRows)
+            for a, b in distance_args
+        )
+        # nothing is kept across calls: the second call prepares again
+        assert tune_weights(train, validation, delta=0.2) == first
+        assert sorted(prepared) == sorted(map(id, graphs + graphs))
+
+    def test_aligned_tune_prepares_nothing(self, monkeypatch):
+        train, validation = tune_corpus(2)
+        distance_args, prepared = self.counters(monkeypatch)
+        tune_weights(train, validation, delta=0.2, align=True)
+        pairs = len(train.instances) * len(validation.instances)
+        assert distance_args and len(distance_args) % pairs == 0
+        assert prepared == []
+        assert all(
+            isinstance(a, GeometricGraph) and isinstance(b, GeometricGraph)
+            for a, b in distance_args
+        )
+
+    # the search moves off the start on all three seeds unaligned, on 3 and 5 aligned
+    @pytest.mark.parametrize("align", [False, True])
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_equals_graph_pair_loop(self, seed, align):
+        train, validation = tune_corpus(seed)
+        assert tune_weights(train, validation, delta=0.2, align=align) == reference_tune(
+            train, validation, delta=0.2, align=align
+        )
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_rows_give_the_graph_distance(self, seed):
+        train, validation = tune_corpus(seed)
+        weights = DistanceWeights(0.35, 0.23, 0.11, 0.31)
+        for inst in validation.instances:
+            a = inst.graph
+            for other in train.instances:
+                b = other.graph
+                expected = geometric_graph_distance(a, b, weights)
+                ra, rb = geometric_rows(a), geometric_rows(b)
+                assert geometric_graph_distance(ra, rb, weights) == expected
+                assert geometric_graph_distance(ra, b, weights) == expected
+                assert geometric_graph_distance(a, rb, weights) == expected
+                for pair in ((ra, rb), (ra, b), (a, rb)):
+                    with pytest.raises(ValueError, match="alignment needs both graphs"):
+                        geometric_graph_distance(*pair, weights, align=True)

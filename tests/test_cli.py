@@ -8,9 +8,10 @@ import math
 
 import pytest
 
+from graphmatch.bench import MatcherSpec, knn_classify, tune_weights
 from graphmatch.cli import main
 from graphmatch.contraction import k_star_node_contraction
-from graphmatch.datasets import parse_gxl, write_gxl
+from graphmatch.datasets import load_dataset, parse_gxl, write_gxl
 from graphmatch.graphs import AttributedGraph, GeometricGraph
 
 
@@ -386,6 +387,39 @@ class TestTune:
         assert set(payload) == {"w1", "w2", "w3", "w4", "accuracy"}
         assert sum(payload[k] for k in ("w1", "w2", "w3", "w4")) == pytest.approx(1.0)
         assert payload["accuracy"] == 100.0
+
+    def test_align_flag_matches_library(self, tmp_path):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=3, per_class=2, sigma=0.3)
+        # the validation split goes to its own directory, so that its files
+        # keep the train graphs; its index names them relative to --data
+        _, val_dir_index = synth_corpus(
+            tmp_path, "corpus/val", split="validation", classes=3, per_class=2, sigma=0.3,
+            jitter_seed=10,
+        )
+        val_index = data / "validation.cxl"
+        val_index.write_text(val_dir_index.read_text().replace('file="', 'file="val/'))
+        out = tmp_path / "weights.json"
+        code = run(
+            "tune",
+            "--train", train_index,
+            "--validation", val_index,
+            "--data", data,
+            "--delta", 0.2,
+            "--align",
+            "--out", out,
+        )
+        assert code == 0
+        train = load_dataset(train_index, data, "letter", name="train")
+        validation = load_dataset(val_index, data, "letter", name="validation")
+        assert len(validation.instances) == 6 and not validation.errors
+        weights = tune_weights(train, validation, delta=0.2, align=True)
+        w1, w2, w3, w4 = weights.as_tuple()
+        assert (w1, w2, w3, w4) != (0.25, 0.25, 0.25, 0.25)  # the search moved
+        method = f"geometric({w1!r},{w2!r},{w3!r},{w4!r},align)"
+        accuracy = knn_classify(train, validation, MatcherSpec(method), 1).mean_accuracy
+        assert json.loads(out.read_text()) == {
+            "w1": w1, "w2": w2, "w3": w3, "w4": w4, "accuracy": accuracy
+        }
 
     def test_start_flag(self, tmp_path):
         data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=2)
