@@ -2,7 +2,8 @@
 
 A matcher is named by a compact text form, e.g. ``ged-beam(10)`` or
 ``r-ged(0.25,pagerank)``; ``MatcherSpec`` validates the text once, prepares
-graphs and turns pairs of prepared graphs into distances.  On top of that
+graphs (every ``geometric`` form, aligned or not, as its geometric rows) and
+turns pairs of prepared graphs into distances.  On top of that
 sit a nearest-neighbor classifier with deterministic tie-breaking, a
 wall-clock timing loop, and a steepest-ascent search over the geometric
 distance weights.
@@ -89,9 +90,9 @@ class MatcherSpec:
     ``geometric(w1,w2,w3,w4[,align])`` with w >= 1, k >= 0, 0 <= r <= 1.
 
     A distance runs in two steps: ``prepare`` does the per-graph work once
-    (the contraction of the contracting matchers, the coordinate and edge
-    feature rows of unaligned ``geometric``), and the pair step matches two
-    prepared graphs.  ``distance`` accepts graphs and prepared graphs alike.
+    (the contraction of the contracting matchers, the ``geometric_rows`` of
+    ``geometric``, aligned or not), and the pair step matches two prepared
+    graphs.  ``distance`` accepts graphs and prepared graphs alike.
     """
 
     method: str
@@ -171,12 +172,12 @@ def _compiled(method: str, p: EditCostParams):
     if len(args) not in (4, 5):
         raise ValueError("geometric takes (w1,w2,w3,w4) or (w1,w2,w3,w4,align)")
     weights = DistanceWeights(*(_float_arg(a, "weight") for a in args[:4]))
-    if len(args) == 4:
-        return geometric.geometric_rows, lambda a, b: geometric_graph_distance(a, b, weights)
-    if args[4] != "align":
+    if len(args) == 5 and args[4] != "align":
         raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
-    # alignment depends on both graphs, so it is all pair step
-    return _unchanged, lambda a, b: geometric_graph_distance(a, b, weights, align=True)
+    align = len(args) == 5
+    return (lambda g: geometric.geometric_rows(g)), (
+        lambda a, b: geometric_graph_distance(a, b, weights, align=align)
+    )
 
 
 def split_method_list(text: str) -> list[str]:
@@ -452,17 +453,16 @@ def tune_weights(
     validation accuracy; stop when no move improves it.  Deterministic:
     moves are tried in a fixed order and only strict improvements are taken.
 
-    Without alignment each train and validation graph is prepared once per
-    call (its ``geometric_rows``) and every weight vector re-scores the
-    prepared rows; nothing prepared outlives the call.  Alignment depends on
-    both graphs, so aligned tuning prepares nothing.
+    Each train and validation graph is prepared once per call (its
+    ``geometric_rows``), aligned or not, and every weight vector re-scores
+    the prepared rows; nothing prepared outlives the call.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    prepare = _unchanged if align else geometric.geometric_rows
-    prepared = [[prepare(inst.graph) for inst in split.instances] for split in (train, validation)]
+    rows = geometric.geometric_rows
+    prepared = [[rows(inst.graph) for inst in split.instances] for split in (train, validation)]
     current = _normalized(start.as_tuple())
     current_accuracy = _weighted_accuracy(train, validation, prepared, current, align)
     while True:

@@ -145,6 +145,8 @@ def _bench_pairs(args):
         index = Path(args.pairs)
         split = _load_split(index, args.data or index.parent, args.profile, "test")
     graphs = [inst.graph for inst in split.instances]
+    if len(graphs) < 2:
+        raise ValueError(f"bench needs two graphs or more, {args.pairs} gives {len(graphs)}")
     pairs = list(zip(graphs, graphs[1:]))
     return pairs[: args.limit]
 

@@ -22,12 +22,13 @@ Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
 (angle 0, length 0, endpoints at the graph mean).  Empty slots are counted
 on the graph (``empty_edges``), never materialized as structural edges.
-The unaligned weighted distance reads each graph as its ``GeometricRows``
-(coordinates, real-edge feature rows, slot count, mean), which
-``geometric_rows`` extracts once per graph and ``geometric_graph_distance``
-accepts in place of the graph; the rows are padded exactly as
-``pad_to_equal`` pads the graphs, so a graph matched many times is prepared
-once.
+Every mean is summed left to right in vertex order (``_mean``).
+
+The weighted distance and the alignment search read each graph as its
+``GeometricRows`` (coordinates, edge endpoint indices, feature rows, mean),
+which ``geometric_rows`` extracts once per graph and which they accept in
+place of the graph.  Rows are padded exactly as ``pad_to_equal`` pads the
+graphs, so a graph matched many times is prepared once, aligned or not.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -38,12 +39,12 @@ tolerance thresholds in input units.  Candidates are never built as graphs:
 one numpy expression places g2's coordinates for all of them, and their
 features and cost matrices are scored a fixed block of candidates per kernel
 call.  A candidate whose row/column-minimum bound already exceeds the best
-score so far (plus the tie margin) skips its assignment solve, and only the
-winning transform is built.  Scores equal the one-candidate-at-a-time
-computation bit for bit, so the same candidate wins.  The transform
-arithmetic lives in one place, ``_similarity`` (the parameters) and
-``_placements`` (the moved coordinates), which ``geometric_transform`` reuses
-for the winner.
+score so far (plus the tie margin) skips its assignment solve.  Scores equal
+the one-candidate-at-a-time computation bit for bit, so the same candidate
+wins.  The transform arithmetic lives in one place, ``_similarity`` (the
+parameters) and ``_placements`` (the moved coordinates), and the feature
+rows of every placement, a graph's own included, come from
+``_placement_features``.
 """
 
 from __future__ import annotations
@@ -83,29 +84,6 @@ def solve_lsap(cost: CostMatrix) -> Assignment:
     rows, cols = linear_sum_assignment(matrix)
     total = float(matrix[rows, cols].sum())
     return Assignment(tuple(zip(rows.tolist(), cols.tolist())), total)
-
-
-# -- edge features -----------------------------------------------------------
-
-
-def _segment_row(p: tuple[float, float], q: tuple[float, float]) -> tuple[float, ...]:
-    """Feature row of the segment p-q with endpoints in canonical order."""
-    left, right = (p, q) if (p[0], p[1]) <= (q[0], q[1]) else (q, p)
-    dx, dy = right[0] - left[0], right[1] - left[1]
-    theta = math.degrees(math.atan2(dy, dx)) % 180.0
-    return (theta, math.hypot(dx, dy), *left, *right)
-
-
-def edge_features(g: GeometricGraph) -> np.ndarray:
-    """Feature rows of g, shape (m + empty_edges, 6): one row
-    (theta, length, left x, left y, right x, right y) per real edge in edge
-    order, then one empty row (angle 0, length 0, both endpoints at the mean
-    coordinate) per empty slot."""
-    rows = [_segment_row(g.coords[u], g.coords[v]) for u, v in g.edges]
-    if g.empty_edges:
-        mx, my = g.mean_coord()
-        rows += [(0.0, 0.0, mx, my, mx, my)] * g.empty_edges
-    return np.array(rows).reshape(-1, 6)
 
 
 @dataclass(frozen=True)
@@ -154,12 +132,125 @@ def _lsap_lower_bound(cost: np.ndarray) -> np.ndarray:
     return np.maximum(cost.min(axis=-1).sum(axis=-1), cost.min(axis=-2).sum(axis=-1))
 
 
-# -- elementary distances ----------------------------------------------------
+# -- prepared rows -----------------------------------------------------------
+
+# math's atan2 and hypot, elementwise: numpy's own differ from them in the
+# last bit on a few percent of inputs, which would move feature rows, and
+# with them distances and alignment near-ties, off the scalar math values.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class GeometricRows:
+    """What the weighted distance and the alignment read of one plane graph.
+
+    ``coords`` holds the coordinates in vertex order (n, 2), ``ends`` each
+    real edge's endpoint indices into ``coords`` in edge order (m, 2),
+    ``edges`` the feature rows of all m + empty_edges slots and ``mean`` the
+    ``_mean`` of the coordinates.
+    """
+
+    coords: np.ndarray
+    ends: np.ndarray
+    edges: np.ndarray
+    mean: tuple[float, float]
 
 
 def _coord_array(g: GeometricGraph) -> np.ndarray:
     """g's coordinates in vertex order, shape (n, 2)."""
     return np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2)
+
+
+def _edge_ends(g: GeometricGraph) -> np.ndarray:
+    """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+
+
+def _mean(points) -> tuple[float, float]:
+    """Mean of a list of (x, y) points, the one mean of this module: summed
+    left to right as ``GeometricGraph.mean_coord`` sums it; the origin for
+    no points."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    n = max(len(points), 1)
+    return (sx / n, sy / n)
+
+
+def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.ndarray:
+    """Edge feature rows (C, slots, 6) of C placements (C, n, 2) of one graph.
+
+    Row k < m = len(ends) describes the segment between the endpoints
+    ``ends[k]``; the rows past them are empty slots at the placement's own
+    mean.
+    """
+    m = len(ends)
+    p, q = coords[:, ends[:, 0]], coords[:, ends[:, 1]]
+    # canonical order: p is left when (px, py) <= (qx, qy)
+    p_left = (p[..., 0] < q[..., 0]) | ((p[..., 0] == q[..., 0]) & (p[..., 1] <= q[..., 1]))
+    left = np.where(p_left[..., None], p, q)
+    right = np.where(p_left[..., None], q, p)
+    dx, dy = right[..., 0] - left[..., 0], right[..., 1] - left[..., 1]
+    feats = np.zeros((len(coords), slots, 6))
+    feats[:, :m, 0] = np.degrees(_atan2(dy, dx).astype(float)) % 180.0
+    feats[:, :m, 1] = _hypot(dx, dy).astype(float)
+    feats[:, :m, 2:4] = left
+    feats[:, :m, 4:6] = right
+    means = np.array([_mean(c) for c in coords.tolist()]).reshape(-1, 1, 2)
+    feats[:, m:, 2:4] = feats[:, m:, 4:6] = means
+    return feats
+
+
+def geometric_rows(g: GeometricGraph) -> GeometricRows:
+    """g's rows for ``geometric_graph_distance`` and ``graph_alignment``;
+    ValueError unless g has coordinates."""
+    if not isinstance(g, GeometricGraph):
+        raise ValueError("geometric distance needs graphs with coordinates")
+    coords, ends = _coord_array(g), _edge_ends(g)
+    feats = _placement_features(coords[None], ends, g.m + g.empty_edges)[0]
+    return GeometricRows(coords, ends, feats, _mean(coords.tolist()))
+
+
+def _rows_of(g) -> GeometricRows:
+    return g if isinstance(g, GeometricRows) else geometric_rows(g)
+
+
+def edge_features(g: GeometricGraph) -> np.ndarray:
+    """Feature rows of g, shape (m + empty_edges, 6): one row
+    (theta, length, left x, left y, right x, right y) per real edge in edge
+    order, then one empty row (angle 0, length 0, both endpoints at the mean
+    coordinate) per empty slot."""
+    return geometric_rows(g).edges
+
+
+def _padded(r: GeometricRows, n: int, slots: int) -> GeometricRows:
+    """r padded to n vertices and ``slots`` edge slots as ``pad_to_equal``
+    pads its graph: new vertices at r's mean, every empty slot at the padded
+    mean.  r itself when it has that size already."""
+    coords, feats, mean = r.coords, r.edges, r.mean
+    if n == len(coords) and slots == len(feats):
+        return r
+    if n > len(coords):
+        coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
+        mean = _mean(coords.tolist())
+        feats = feats[: len(r.ends)]  # the empty slots move to the new mean
+    if slots > len(feats):
+        mx, my = mean
+        empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
+        feats = np.concatenate((feats, empty))
+    return GeometricRows(coords, r.ends, feats, mean)
+
+
+def _has_alignable_edge(g) -> bool:
+    """Whether g (a graph or its rows) has an edge of positive length."""
+    r = _rows_of(g)
+    return bool((r.edges[: len(r.ends), 1] > 0.0).any())
+
+
+# -- elementary distances ----------------------------------------------------
 
 
 def _vertex_cost_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -168,15 +259,11 @@ def _vertex_cost_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.hypot(d[..., 0], d[..., 1])
 
 
-def _vertex_assignment(g1: GeometricGraph, g2: GeometricGraph) -> Assignment:
-    if g1.n != g2.n:
-        raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    return solve_lsap(_vertex_cost_matrix(_coord_array(g1), _coord_array(g2)))
-
-
 def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Minimal total Euclidean movement matching the two vertex sets."""
-    return _vertex_assignment(g1, g2).total_cost
+    if g1.n != g2.n:
+        raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
+    return solve_lsap(_vertex_cost_matrix(_coord_array(g1), _coord_array(g2))).total_cost
 
 
 def _edge_assignment(
@@ -229,7 +316,7 @@ def pad_to_equal(
         vertices = list(g.vertices)
         coords = dict(g.coords)
         labels = dict(g.node_labels)
-        mean = g.mean_coord()
+        mean = _mean([g.coords[v] for v in g.vertices])
         next_id = max(vertices, default=-1) + 1
         for _ in range(extra_n):
             vertices.append(next_id)
@@ -250,84 +337,11 @@ def pad_to_equal(
     return pad(g1, n_target, f_target), pad(g2, n_target, f_target)
 
 
-# -- prepared rows -----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GeometricRows:
-    """What the unaligned weighted distance reads of one plane graph.
-
-    ``coords`` holds the coordinates in vertex order (n, 2), ``edges`` the
-    real edges' feature rows in edge order (m, 6); ``slots`` is
-    m + empty_edges and ``mean`` the graph's ``mean_coord()``.
-    """
-
-    coords: np.ndarray
-    edges: np.ndarray
-    slots: int
-    mean: tuple[float, float]
-
-
-def _plane(g: GeometricGraph) -> GeometricGraph:
-    if not isinstance(g, GeometricGraph):
-        raise ValueError("geometric distance needs graphs with coordinates")
-    return g
-
-
-def geometric_rows(g: GeometricGraph) -> GeometricRows:
-    """g's rows for the unaligned ``geometric_graph_distance``; ValueError
-    unless g has coordinates."""
-    _plane(g)
-    real = [_segment_row(g.coords[u], g.coords[v]) for u, v in g.edges]
-    return GeometricRows(
-        _coord_array(g), np.array(real).reshape(-1, 6), g.m + g.empty_edges, g.mean_coord()
-    )
-
-
-def _rows_of(g) -> GeometricRows:
-    return g if isinstance(g, GeometricRows) else geometric_rows(g)
-
-
-def _padded(r: GeometricRows, n: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and feature rows of r padded to n vertices and ``slots``
-    edge slots, equal to ``pad_to_equal`` followed by ``_coord_array`` and
-    ``edge_features``: new vertices at r's mean, every empty slot at the
-    padded graph's mean, summed over its coordinates in vertex order as
-    ``mean_coord`` sums them."""
-    coords, mean = r.coords, r.mean
-    if n > len(coords):
-        coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
-        xs, ys = coords.T.tolist()
-        mean = (sum(xs) / n, sum(ys) / n)
-    feats = r.edges
-    if slots > len(feats):
-        mx, my = mean
-        empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
-        feats = np.concatenate((feats, empty))
-    return coords, feats
-
-
-def _rows_distance(a: GeometricRows, b: GeometricRows, weights: DistanceWeights) -> float:
-    """The unaligned weighted distance between two prepared graphs: both are
-    padded to equal size, then w1 * VD plus the optimal edge assignment
-    total."""
-    n, slots = max(len(a.coords), len(b.coords)), max(a.slots, b.slots)
-    (c1, f1), (c2, f2) = _padded(a, n, slots), _padded(b, n, slots)
-    vd = solve_lsap(_vertex_cost_matrix(c1, c2)).total_cost
-    return weights.w1 * vd + solve_lsap(_edge_cost_matrix(f1, f2, weights)).total_cost
-
-
 # -- alignment ---------------------------------------------------------------
 
 # Alignment candidates scored per kernel call; it bounds the (block, n, n, 6)
 # difference array the kernel broadcasts.
 _ALIGN_BLOCK = 8
-
-# math's atan2 and hypot, elementwise: numpy's own differ from them in the
-# last bit on a few percent of inputs, and candidate features must equal
-# edge_features' rows so that scores, and with them near-ties, come out the same.
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _similarity(p, q, e_ref):
@@ -335,7 +349,8 @@ def _similarity(p, q, e_ref):
     segment p-q onto ``e_ref``: x goes to (ax, ay) + scale * R (x - (fx, fy)),
     where (fx, fy) is p-q's canonical left endpoint and (ax, ay) e_ref's
     first point."""
-    _, length, fx, fy, rx, ry = _segment_row(p, q)
+    (fx, fy), (rx, ry) = (p, q) if (p[0], p[1]) <= (q[0], q[1]) else (q, p)
+    length = math.hypot(rx - fx, ry - fy)
     if length == 0.0:
         raise ValueError("cannot align on a zero-length edge")
     (ax, ay), (bx, by) = e_ref
@@ -344,6 +359,31 @@ def _similarity(p, q, e_ref):
         raise ValueError("reference segment has zero length")
     angle = math.atan2(by - ay, bx - ax) - math.atan2(ry - fy, rx - fx)
     return ref_len / length, math.cos(angle), math.sin(angle), fx, fy, ax, ay
+
+
+def _placements(coords: np.ndarray, moves) -> np.ndarray:
+    """The (n, 2) coordinates as they are, then under each ((i, j), e_ref)
+    move, the transform mapping the segment from point i to point j onto
+    e_ref: shape (1 + len(moves), n, 2).  This and ``_similarity`` are the
+    one place the transform is computed."""
+    points = coords.tolist()
+    params = np.array([_similarity(points[i], points[j], e) for (i, j), e in moves])
+    scale, cos_a, sin_a, fx, fy, ax, ay = params.reshape(-1, 7).T[..., None]
+    px, py = coords[:, 0] - fx, coords[:, 1] - fy
+    moved = (ax + scale * (cos_a * px - sin_a * py), ay + scale * (sin_a * px + cos_a * py))
+    return np.concatenate((coords[None], np.stack(moved, -1)))
+
+
+def _moved(g: GeometricGraph, coords: np.ndarray) -> GeometricGraph:
+    """g with its coordinates replaced by the (n, 2) ``coords``."""
+    return GeometricGraph(
+        g.vertices,
+        g.edges,
+        dict(zip(g.vertices, coords.tolist())),
+        dict(g.node_labels),
+        dict(g.edge_labels),
+        empty_edges=g.empty_edges,
+    )
 
 
 def geometric_transform(
@@ -362,70 +402,17 @@ def geometric_transform(
     u, v = canonical_edge(*f)
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u}, {v})")
-    moved = _placements(g, [((u, v), e_ref)])[1].tolist()
-    return GeometricGraph(
-        g.vertices,
-        g.edges,
-        dict(zip(g.vertices, moved)),
-        dict(g.node_labels),
-        dict(g.edge_labels),
-        empty_edges=g.empty_edges,
-    )
-
-
-def _placements(g: GeometricGraph, moves) -> np.ndarray:
-    """g's coordinates in vertex order as they are, then under each
-    (edge, e_ref) move: shape (1 + len(moves), n, 2).  This and
-    ``_similarity`` are the one place the transform is computed."""
-    params = np.array([_similarity(g.coords[u], g.coords[v], e) for (u, v), e in moves])
-    scale, cos_a, sin_a, fx, fy, ax, ay = params.reshape(-1, 7).T[..., None]
-    coords = _coord_array(g)
-    px, py = coords[:, 0] - fx, coords[:, 1] - fy
-    moved = (ax + scale * (cos_a * px - sin_a * py), ay + scale * (sin_a * px + cos_a * py))
-    return np.concatenate((coords[None], np.stack(moved, -1)))
-
-
-def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.ndarray:
-    """Edge feature rows (C, slots, 6) of C placements (C, N, 2) of one graph.
-
-    ``ends`` holds each edge's endpoint indices (m, 2) in edge order.  The
-    real rows equal ``edge_features``' rows bit for bit; the rows past them are
-    empty slots at the placement's own mean coordinate, summed in vertex
-    order as ``mean_coord`` sums it.
-    """
-    m = len(ends)
-    p, q = coords[:, ends[:, 0]], coords[:, ends[:, 1]]
-    # _segment_row's canonical order: p is left when (px, py) <= (qx, qy)
-    p_left = (p[..., 0] < q[..., 0]) | ((p[..., 0] == q[..., 0]) & (p[..., 1] <= q[..., 1]))
-    left = np.where(p_left[..., None], p, q)
-    right = np.where(p_left[..., None], q, p)
-    dx, dy = right[..., 0] - left[..., 0], right[..., 1] - left[..., 1]
-    mean = np.add.accumulate(coords, axis=1)[:, -1] / coords.shape[1]
-    feats = np.zeros((len(coords), slots, 6))
-    feats[:, :m, 0] = np.degrees(_atan2(dy, dx).astype(float)) % 180.0
-    feats[:, :m, 1] = _hypot(dx, dy).astype(float)
-    feats[:, :m, 2:4] = left
-    feats[:, :m, 4:6] = right
-    feats[:, m:, 2:4] = feats[:, m:, 4:6] = mean[:, None, :]
-    return feats
-
-
-def _edge_ends(g: GeometricGraph) -> np.ndarray:
-    """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return np.array([(index[u], index[v]) for u, v in g.edges]).reshape(-1, 2)
-
-
-def _has_alignable_edge(g: GeometricGraph) -> bool:
-    return any(
-        g.coords[u] != g.coords[v] for u, v in g.edges
-    )
+    move = ((g.vertices.index(u), g.vertices.index(v)), e_ref)
+    return _moved(g, _placements(_coord_array(g), [move])[1])
 
 
 def graph_alignment(
-    g1: GeometricGraph, g2: GeometricGraph, variant: str = "ed"
-) -> GeometricGraph:
+    g1: GeometricGraph | GeometricRows, g2: GeometricGraph | GeometricRows, variant: str = "ed"
+) -> GeometricGraph | GeometricRows:
     """Rotate/translate/scale g2 to fit g1 as well as possible.
+
+    Either graph may be given as its ``geometric_rows``; g2 comes back in the
+    form it was given, and as g2 itself when the identity wins.
 
     Candidates are g2 itself plus, for every nondegenerate edge f of g2, the
     transforms mapping f onto g1's longest edge in either endpoint order; the
@@ -436,39 +423,35 @@ def graph_alignment(
     Candidates are scored in blocks of _ALIGN_BLOCK through one kernel call
     each.  A candidate whose row/column-minimum bound exceeds the best
     primary score plus the tie margin can neither win nor tie, so its
-    assignment is never solved.  Only the winner is built as a graph; the
-    identity returns g2 itself.
+    assignment is never solved.
     """
     if variant not in ("ed", "edm"):
         raise ValueError(f"unknown alignment variant {variant!r}")
-    if not _has_alignable_edge(g1) or not _has_alignable_edge(g2):
+    r1, r2 = _rows_of(g1), _rows_of(g2)
+    if not _has_alignable_edge(r1) or not _has_alignable_edge(r2):
         raise ValueError("alignment needs a positive-length edge in both graphs")
     primary_weights = _EDM_WEIGHTS if variant == "edm" else _ED_WEIGHTS
-    feats1 = edge_features(g1)
-    # g1's longest edge; argmax takes the first in canonical edge order
-    _, _, lx, ly, rx, ry = feats1[np.argmax(feats1[:, 1])].tolist()
+    # g1's longest edge; argmax takes the first in edge order
+    _, _, lx, ly, rx, ry = r1.edges[np.argmax(r1.edges[:, 1])].tolist()
     # every candidate keeps g2's edge slots, so g1's side is padded once
-    slots = max(len(feats1), g2.m + g2.empty_edges)
-    a = feats1
-    if slots > len(feats1):
-        a = _placement_features(_coord_array(g1)[None], _edge_ends(g1), slots)[0]
+    slots = max(len(r1.edges), len(r2.edges))
+    a = _padded(r1, len(r1.coords), slots).edges
 
     # candidate 0 is g2 itself, candidate i > 0 applies moves[i - 1]
     moves = [
-        (f, e_ref)
-        for f in g2.edges
-        if g2.coords[f[0]] != g2.coords[f[1]]
+        (ends, e_ref)
+        for ends, length in zip(r2.ends.tolist(), r2.edges[:, 1].tolist())
+        if length > 0.0
         for e_ref in (((lx, ly), (rx, ry)), ((rx, ry), (lx, ly)))
     ]
-    placements = _placements(g2, moves)
-    ends = _edge_ends(g2)
+    placements = _placements(r2.coords, moves)
 
     # The slope angle is blind to 180-degree rotations, so a point-reflected
     # candidate ties the true inverse on ED; among near-ties the smaller
     # position-aware score picks the right witness.
-    best, best_primary, best_secondary = 0, math.inf, math.inf
+    best, best_primary, best_secondary, best_feats = 0, math.inf, math.inf, None
     for start in range(0, len(placements), _ALIGN_BLOCK):
-        b = _placement_features(placements[start : start + _ALIGN_BLOCK], ends, slots)
+        b = _placement_features(placements[start : start + _ALIGN_BLOCK], r2.ends, slots)
         costs = _edge_cost_matrix(a, b, primary_weights)
         for k, bound in enumerate(_lsap_lower_bound(costs)):
             if bound > best_primary + 1e-9:
@@ -481,7 +464,13 @@ def graph_alignment(
                 secondary = solve_lsap(_edge_cost_matrix(a, b[k], _EDM_WEIGHTS)).total_cost
             if primary < best_primary - 1e-9 or secondary < best_secondary - 1e-9:
                 best, best_primary, best_secondary = start + k, primary, secondary
-    return g2 if best == 0 else geometric_transform(g2, *moves[best - 1])
+                best_feats = b[k, : len(r2.edges)]
+    if best == 0:
+        return g2
+    coords = placements[best]
+    if isinstance(g2, GeometricRows):
+        return GeometricRows(coords, r2.ends, best_feats, _mean(coords.tolist()))
+    return _moved(g2, coords)
 
 
 # -- verdicts and weighted distance ------------------------------------------
@@ -531,9 +520,9 @@ def geometric_graph_isomorphism(
     p1, p2 = pad_to_equal(g1, g2)
     if _has_alignable_edge(p1) and _has_alignable_edge(p2):
         p2 = graph_alignment(p1, p2, "ed")
-    vassign = _vertex_assignment(p1, p2)
-    feats1, feats2 = edge_features(p1), edge_features(p2)
-    ed_costs = _edge_cost_matrix(feats1, feats2, _ED_WEIGHTS)
+    r1, r2 = geometric_rows(p1), geometric_rows(p2)
+    vassign = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords))
+    ed_costs = _edge_cost_matrix(r1.edges, r2.edges, _ED_WEIGHTS)
     eassign = solve_lsap(ed_costs)
     gd = vassign.total_cost + eassign.total_cost
     if not sizes_match:
@@ -544,7 +533,7 @@ def geometric_graph_isomorphism(
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
-        tie_broken = solve_lsap(_edge_cost_matrix(feats1, feats2, _EDM_WEIGHTS))
+        tie_broken = solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, _EDM_WEIGHTS))
         retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(
@@ -576,18 +565,14 @@ def geometric_graph_distance(
     returns w1 * VD plus the optimal assignment total of
     w2 * E^A + w3 * E^L + w4 * E^P over the edge features.  With unit weights
     and no alignment this equals graph_distance_metric on the padded pair.
-    Both graphs must be GeometricGraphs (ValueError otherwise).  Without
-    alignment either graph may be given as its ``geometric_rows``, with the
-    same result bit for bit, so that a graph matched many times is prepared
-    once; alignment depends on both graphs and takes graphs only (ValueError
-    for rows).
+    Both graphs must be GeometricGraphs (ValueError otherwise); either may be
+    given as its ``geometric_rows``, with the same result bit for bit, so
+    that a graph matched many times is prepared once.
     """
-    if not align:
-        return _rows_distance(_rows_of(g1), _rows_of(g2), weights)
-    if isinstance(g1, GeometricRows) or isinstance(g2, GeometricRows):
-        raise ValueError("alignment needs both graphs, not their geometric rows")
-    p1, p2 = pad_to_equal(_plane(g1), _plane(g2))
-    if _has_alignable_edge(p1) and _has_alignable_edge(p2):
-        p2 = graph_alignment(p1, p2, "edm")
-    vd = vertex_distance(p1, p2)
-    return weights.w1 * vd + _edge_assignment(p1, p2, weights).total_cost
+    r1, r2 = _rows_of(g1), _rows_of(g2)
+    n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
+    r1, r2 = _padded(r1, n, slots), _padded(r2, n, slots)
+    if align and _has_alignable_edge(r1) and _has_alignable_edge(r2):
+        r2 = graph_alignment(r1, r2, "edm")
+    vd = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords)).total_cost
+    return weights.w1 * vd + solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights)).total_cost

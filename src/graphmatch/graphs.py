@@ -186,11 +186,15 @@ class GeometricGraph(AttributedGraph):
         self.empty_edges = int(empty_edges)
 
     def mean_coord(self) -> tuple[float, float]:
-        """Mean coordinate of the existing vertices; origin for empty graphs."""
+        """Mean coordinate of the existing vertices; origin for empty graphs.
+        Summed left to right: ``sum`` over floats is compensated on Python 3.12+."""
         if not self.vertices:
             return (0.0, 0.0)
-        sx = sum(self.coords[v][0] for v in self.vertices)
-        sy = sum(self.coords[v][1] for v in self.vertices)
+        sx = sy = 0.0
+        for v in self.vertices:
+            x, y = self.coords[v]
+            sx += x
+            sy += y
         return (sx / self.n, sy / self.n)
 
     def _rebuild(self, vertices, edges, edge_labels):

@@ -293,6 +293,8 @@ class TestKnnClassify:
             (contraction, "path_contract", "hged"),
             (centrality, "centrality", "r-ged(0.5,betweenness)"),
             (centrality, "centrality", "t-ged(2,pagerank)"),
+            (geometric, "geometric_rows", "geometric(1,1,1,1)"),
+            (geometric, "geometric_rows", "geometric(1,1,1,1,align)"),
         ],
     )
     def test_each_graph_prepared_once_per_call(self, monkeypatch, module, name, method):
@@ -705,15 +707,16 @@ class TestTuneOnPreparedRows:
         assert tune_weights(train, validation, delta=0.2) == first
         assert sorted(prepared) == sorted(map(id, graphs + graphs))
 
-    def test_aligned_tune_prepares_nothing(self, monkeypatch):
+    def test_aligned_tune_prepares_each_graph_once(self, monkeypatch):
         train, validation = tune_corpus(2)
+        graphs = [inst.graph for inst in (*train.instances, *validation.instances)]
         distance_args, prepared = self.counters(monkeypatch)
         tune_weights(train, validation, delta=0.2, align=True)
         pairs = len(train.instances) * len(validation.instances)
         assert distance_args and len(distance_args) % pairs == 0
-        assert prepared == []
+        assert sorted(prepared) == sorted(map(id, graphs))
         assert all(
-            isinstance(a, GeometricGraph) and isinstance(b, GeometricGraph)
+            isinstance(a, GeometricRows) and isinstance(b, GeometricRows)
             for a, b in distance_args
         )
 
@@ -734,11 +737,8 @@ class TestTuneOnPreparedRows:
             a = inst.graph
             for other in train.instances:
                 b = other.graph
-                expected = geometric_graph_distance(a, b, weights)
                 ra, rb = geometric_rows(a), geometric_rows(b)
-                assert geometric_graph_distance(ra, rb, weights) == expected
-                assert geometric_graph_distance(ra, b, weights) == expected
-                assert geometric_graph_distance(a, rb, weights) == expected
-                for pair in ((ra, rb), (ra, b), (a, rb)):
-                    with pytest.raises(ValueError, match="alignment needs both graphs"):
-                        geometric_graph_distance(*pair, weights, align=True)
+                for align in (False, True):
+                    expected = reference_geometric(a, b, weights, align)
+                    for pair in ((a, b), (ra, rb), (ra, b), (a, rb)):
+                        assert geometric_graph_distance(*pair, weights, align=align) == expected

@@ -256,18 +256,16 @@ class TestBench:
         assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
-    def test_single_graph_gives_empty_summary(self, tmp_path):
+    def test_fewer_than_two_graphs_exit_2_without_csv(self, tmp_path, capsys):
+        data, index = synth_corpus(tmp_path, "corpus", classes=1, per_class=2)
+        (data / "c00-001.gxl").write_text("not gxl")  # one of the two fails to load
         out = tmp_path / "bench.csv"
-        code = run(
-            "bench",
-            "--pairs", "synth:1x1:0:1",
-            "--methods", "ged",
-            "--out", out,
-        )
-        assert code == 0
-        row = read_csv(out)[0]
-        assert int(row["pair_count"]) == 0
-        assert float(row["mean_ms"]) == 0.0
+        for pairs in ("synth:1x1:0.1:0", index):
+            code = run("bench", "--pairs", pairs, "--methods", "ged", "--out", out)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"error: bench needs two graphs or more, {pairs} gives 1" in err
+            assert not out.exists()
 
 
 class TestContract:

@@ -21,6 +21,7 @@ from graphmatch.geometric import (
     edge_features,
     geometric_graph_distance,
     geometric_graph_isomorphism,
+    geometric_rows,
     geometric_transform,
     graph_alignment,
     graph_distance,
@@ -684,6 +685,24 @@ class TestAlignmentMatchesReference:
                 self.assert_same_graph(got, reference_alignment(g1, g2, variant))
         assert padded >= 20
 
+    def test_rows_align_as_graphs(self):
+        pairs = [*self.random_pairs(), *((g1, g2) for g1, g2, _ in self.tie_pairs())]
+        identity = 0
+        for g1, g2 in pairs:
+            if not (geometric._has_alignable_edge(g1) and geometric._has_alignable_edge(g2)):
+                continue
+            r1, r2 = geometric_rows(g1), geometric_rows(g2)
+            for variant in ("ed", "edm"):
+                aligned = graph_alignment(g1, g2, variant)
+                got, want = graph_alignment(r1, r2, variant), geometric_rows(aligned)
+                assert np.array_equal(got.coords, want.coords)
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.ends, want.ends)
+                assert got.mean == want.mean
+                assert (got is r2) == (aligned is g2)
+                identity += got is r2
+        assert identity >= 10
+
     def test_placements_equal_built_candidates(self):
         for g1, g2 in self.random_pairs():
             p1, p2 = pad_to_equal(g1, g2)
@@ -696,8 +715,11 @@ class TestAlignmentMatchesReference:
                 if p2.coords[f[0]] != p2.coords[f[1]]
                 for e_ref in ((left, right), (right, left))
             ]
-            placements = _placements(p2, moves)
             index = {v: i for i, v in enumerate(p2.vertices)}
+            placements = _placements(
+                geometric._coord_array(p2),
+                [((index[u], index[v]), e_ref) for (u, v), e_ref in moves],
+            )
             ends = np.array([(index[u], index[v]) for u, v in p2.edges]).reshape(-1, 2)
             slots = p2.m + p2.empty_edges + 2
             feats = _placement_features(placements, ends, slots)
