@@ -152,10 +152,13 @@ def _bench_pairs(args):
 
 
 def _cmd_bench(args) -> int:
+    methods = split_method_list(args.methods)
+    if not methods:
+        raise ValueError(f"--methods {args.methods!r} names no method")
     pairs = _bench_pairs(args)
     params = _cost_params(args.cost)
     rows, distance_rows = [], []
-    for method in split_method_list(args.methods):
+    for method in methods:
         summary = benchmark(pairs, MatcherSpec(method, params), args.reps)
         rows.append(
             [

@@ -24,11 +24,14 @@ the smaller graph's own vertices, extra edge slots as "empty" rows
 on the graph (``empty_edges``), never materialized as structural edges.
 Every mean is summed left to right in vertex order (``_mean``).
 
-The weighted distance and the alignment search read each graph as its
-``GeometricRows`` (coordinates, edge endpoint indices, feature rows, mean),
-which ``geometric_rows`` extracts once per graph and which they accept in
-place of the graph.  Rows are padded exactly as ``pad_to_equal`` pads the
-graphs, so a graph matched many times is prepared once, aligned or not.
+The weighted distance and the isomorphism verdict share one pair path on
+rows (``_pair``): each graph's ``GeometricRows`` (coordinates, edge endpoint
+indices, feature rows, mean), which ``geometric_rows`` extracts once per
+graph, padded to one size by ``_padded`` exactly as ``pad_to_equal`` pads
+the graphs, then g2's rows aligned to g1's when asked.  Graphs appear only at
+the API edge: the distance and the alignment accept rows in place of graphs,
+so a graph matched many times is prepared once, aligned or not, and the
+verdict's endpoint and tolerance checks read the rows too.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import GeometricGraph, canonical_edge
+from .graphs import GeometricGraph, _mean, canonical_edge
 
 CostMatrix = np.ndarray
 
@@ -166,18 +169,6 @@ def _edge_ends(g: GeometricGraph) -> np.ndarray:
     """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
     index = {v: i for i, v in enumerate(g.vertices)}
     return np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
-
-
-def _mean(points) -> tuple[float, float]:
-    """Mean of a list of (x, y) points, the one mean of this module: summed
-    left to right as ``GeometricGraph.mean_coord`` sums it; the origin for
-    no points."""
-    sx = sy = 0.0
-    for x, y in points:
-        sx += x
-        sy += y
-    n = max(len(points), 1)
-    return (sx / n, sy / n)
 
 
 def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.ndarray:
@@ -484,24 +475,33 @@ class GeometricIsomorphism:
 
 
 def _edge_endpoints_consistent(
-    g1: GeometricGraph,
-    g2: GeometricGraph,
+    r1: GeometricRows,
+    r2: GeometricRows,
     vertex_pairs,
     edge_pairs,
 ) -> bool:
-    """Every real g1 edge must map onto a real g2 edge joining the images of
-    its endpoints (the vertex and edge assignments must tell the same story).
-    """
-    vmap = {g1.vertices[i]: g2.vertices[j] for i, j in vertex_pairs}
-    edges2 = g2.edges
-    assigned = dict(edge_pairs)
-    for idx, (a, b) in enumerate(g1.edges):
-        j = assigned.get(idx)
-        if j is None or j >= len(edges2):
-            return False  # matched onto an empty slot
-        if canonical_edge(vmap[a], vmap[b]) != edges2[j]:
-            return False
-    return True
+    """Every real g1 edge must map onto a real g2 edge (not an empty slot)
+    joining the images of its endpoints: the vertex and edge assignments must
+    tell the same story.  Both assignments list their rows in order."""
+    image = dict(vertex_pairs)
+    ends2 = r2.ends.tolist()
+    return all(
+        j < len(ends2) and {image[a], image[b]} == set(ends2[j])
+        for (a, b), (_, j) in zip(r1.ends.tolist(), edge_pairs)
+    )
+
+
+def _pair(g1, g2, variant: str | None) -> tuple[GeometricRows, GeometricRows]:
+    """The rows of g1 and g2 (graphs or rows) padded to one size, with g2
+    aligned to g1 under ``variant`` ("ed" or "edm"; None for no alignment)
+    when both have a positive-length edge: the one pair path of the distance
+    and the isomorphism verdict."""
+    r1, r2 = _rows_of(g1), _rows_of(g2)
+    n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
+    r1, r2 = _padded(r1, n, slots), _padded(r2, n, slots)
+    if variant and _has_alignable_edge(r1) and _has_alignable_edge(r2):
+        r2 = graph_alignment(r1, r2, variant)
+    return r1, r2
 
 
 def geometric_graph_isomorphism(
@@ -516,11 +516,9 @@ def geometric_graph_isomorphism(
     strictly below ``tolerance`` for every matched vertex pair.  Graphs of
     unequal size are padded and can only yield a distance verdict.
     """
-    sizes_match = g1.n == g2.n and g1.m + g1.empty_edges == g2.m + g2.empty_edges
-    p1, p2 = pad_to_equal(g1, g2)
-    if _has_alignable_edge(p1) and _has_alignable_edge(p2):
-        p2 = graph_alignment(p1, p2, "ed")
-    r1, r2 = geometric_rows(p1), geometric_rows(p2)
+    r1, r2 = _rows_of(g1), _rows_of(g2)
+    sizes_match = len(r1.coords) == len(r2.coords) and len(r1.edges) == len(r2.edges)
+    r1, r2 = _pair(r1, r2, "ed")
     vassign = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords))
     ed_costs = _edge_cost_matrix(r1.edges, r2.edges, _ED_WEIGHTS)
     eassign = solve_lsap(ed_costs)
@@ -528,7 +526,7 @@ def geometric_graph_isomorphism(
     if not sizes_match:
         return GeometricIsomorphism("distance", gd, vassign.pairs)
 
-    consistent = _edge_endpoints_consistent(p1, p2, vassign.pairs, eassign.pairs)
+    consistent = _edge_endpoints_consistent(r1, r2, vassign.pairs, eassign.pairs)
     if not consistent:
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
@@ -537,18 +535,14 @@ def geometric_graph_isomorphism(
         retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(
-                p1, p2, vassign.pairs, tie_broken.pairs
+                r1, r2, vassign.pairs, tie_broken.pairs
             )
     if gd <= 1e-9 and consistent:
         return GeometricIsomorphism("isomorphic", gd, vassign.pairs)
 
     if tolerance > 0 and consistent:
-        within = all(
-            abs(p1.coords[p1.vertices[i]][0] - p2.coords[p2.vertices[j]][0]) < tolerance
-            and abs(p1.coords[p1.vertices[i]][1] - p2.coords[p2.vertices[j]][1]) < tolerance
-            for i, j in vassign.pairs
-        )
-        if within:
+        i, j = np.array(vassign.pairs, dtype=np.intp).reshape(-1, 2).T
+        if (np.abs(r1.coords[i] - r2.coords[j]) < tolerance).all():
             return GeometricIsomorphism("t_tolerant", gd, vassign.pairs)
     return GeometricIsomorphism("distance", gd, vassign.pairs)
 
@@ -569,10 +563,6 @@ def geometric_graph_distance(
     given as its ``geometric_rows``, with the same result bit for bit, so
     that a graph matched many times is prepared once.
     """
-    r1, r2 = _rows_of(g1), _rows_of(g2)
-    n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
-    r1, r2 = _padded(r1, n, slots), _padded(r2, n, slots)
-    if align and _has_alignable_edge(r1) and _has_alignable_edge(r2):
-        r2 = graph_alignment(r1, r2, "edm")
+    r1, r2 = _pair(g1, g2, "edm" if align else None)
     vd = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords)).total_cost
     return weights.w1 * vd + solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights)).total_cost

@@ -153,6 +153,18 @@ class AttributedGraph:
         )
 
 
+def _mean(points) -> tuple[float, float]:
+    """Mean of a list of (x, y) points, the origin for none: the one mean of
+    plane graphs and their geometric rows, summed left to right because
+    ``sum`` over floats is compensated on Python 3.12+."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    n = max(len(points), 1)
+    return (sx / n, sy / n)
+
+
 class GeometricGraph(AttributedGraph):
     """An attributed graph whose vertices all live in the plane.
 
@@ -186,16 +198,9 @@ class GeometricGraph(AttributedGraph):
         self.empty_edges = int(empty_edges)
 
     def mean_coord(self) -> tuple[float, float]:
-        """Mean coordinate of the existing vertices; origin for empty graphs.
-        Summed left to right: ``sum`` over floats is compensated on Python 3.12+."""
-        if not self.vertices:
-            return (0.0, 0.0)
-        sx = sy = 0.0
-        for v in self.vertices:
-            x, y = self.coords[v]
-            sx += x
-            sy += y
-        return (sx / self.n, sy / self.n)
+        """Mean coordinate of the existing vertices (``_mean``); origin for
+        empty graphs."""
+        return _mean([self.coords[v] for v in self.vertices])
 
     def _rebuild(self, vertices, edges, edge_labels):
         return GeometricGraph(
@@ -271,46 +276,9 @@ def _separates(adj: Mapping[int, Collection[int]], v: int) -> bool:
 
 
 def cut_vertices(g: AttributedGraph) -> set[int]:
-    """All articulation points, via iterative DFS low-link."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    result: set[int] = set()
-    timer = 0
-
-    for root in g.vertices:
-        if root in disc:
-            continue
-        parent[root] = None
-        root_children = 0
-        stack = [(root, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, iter(g.neighbors(w))))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        result.add(p)
-        if root_children > 1:
-            result.add(root)
-    return result
+    """All articulation points: the vertices ``_separates`` flags, the one
+    cut-vertex rule shared with ``is_cut_vertex`` and the contraction guards."""
+    return {v for v in g.vertices if _separates(g._adj, v)}
 
 
 # -- generation and rewiring -------------------------------------------------

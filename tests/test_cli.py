@@ -256,6 +256,14 @@ class TestBench:
         assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
 
+    @pytest.mark.parametrize("methods", [",", " , ", ""])
+    def test_empty_method_list_exit_2_without_csv(self, tmp_path, capsys, methods):
+        out = tmp_path / "bench.csv"
+        code = run("bench", "--pairs", "synth:1x2:0:1", "--methods", methods, "--out", out)
+        assert code == 2
+        assert f"error: --methods {methods!r} names no method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fewer_than_two_graphs_exit_2_without_csv(self, tmp_path, capsys):
         data, index = synth_corpus(tmp_path, "corpus", classes=1, per_class=2)
         (data / "c00-001.gxl").write_text("not gxl")  # one of the two fails to load

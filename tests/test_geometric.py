@@ -12,6 +12,7 @@ import pytest
 from graphmatch import geometric
 from graphmatch.geometric import (
     DistanceWeights,
+    GeometricIsomorphism,
     _edge_cost_matrix,
     _lsap_lower_bound,
     _placement_features,
@@ -30,7 +31,7 @@ from graphmatch.geometric import (
     solve_lsap,
     vertex_distance,
 )
-from graphmatch.graphs import AttributedGraph, GeometricGraph, random_graph
+from graphmatch.graphs import AttributedGraph, GeometricGraph, canonical_edge, random_graph
 
 
 # -- oracles and generators ---------------------------------------------------
@@ -583,6 +584,48 @@ def reference_alignment(g1, g2, variant="ed"):
     return best
 
 
+def reference_isomorphism(g1, g2, tolerance=0.0):
+    """geometric_graph_isomorphism on graphs: pad_to_equal, the
+    candidate-by-candidate reference_alignment, and an endpoint check keyed
+    by vertex ids."""
+    sizes_match = g1.n == g2.n and g1.m + g1.empty_edges == g2.m + g2.empty_edges
+    p1, p2 = pad_to_equal(g1, g2)
+    if geometric._has_alignable_edge(p1) and geometric._has_alignable_edge(p2):
+        p2 = reference_alignment(p1, p2, "ed")
+    c1, c2 = geometric._coord_array(p1), geometric._coord_array(p2)
+    f1, f2 = edge_features(p1), edge_features(p2)
+    vassign = solve_lsap(geometric._vertex_cost_matrix(c1, c2))
+    ed_costs = _edge_cost_matrix(f1, f2, DistanceWeights(w4=0.0))
+    eassign = solve_lsap(ed_costs)
+    gd = vassign.total_cost + eassign.total_cost
+    if not sizes_match:
+        return GeometricIsomorphism("distance", gd, vassign.pairs)
+
+    vmap = {p1.vertices[i]: p2.vertices[j] for i, j in vassign.pairs}
+
+    def consistent(edge_pairs):
+        assigned = dict(edge_pairs)
+        return all(
+            assigned[k] < p2.m and canonical_edge(vmap[a], vmap[b]) == p2.edges[assigned[k]]
+            for k, (a, b) in enumerate(p1.edges)
+        )
+
+    ok = consistent(eassign.pairs)
+    if not ok:
+        tie_broken = solve_lsap(_edge_cost_matrix(f1, f2, DistanceWeights()))
+        if sum(ed_costs[i, j] for i, j in tie_broken.pairs) <= eassign.total_cost + 1e-9:
+            ok = consistent(tie_broken.pairs)
+    if gd <= 1e-9 and ok:
+        return GeometricIsomorphism("isomorphic", gd, vassign.pairs)
+    if tolerance > 0 and ok and all(
+        abs(a - b) < tolerance
+        for i, j in vassign.pairs
+        for a, b in zip(p1.coords[p1.vertices[i]], p2.coords[p2.vertices[j]])
+    ):
+        return GeometricIsomorphism("t_tolerant", gd, vassign.pairs)
+    return GeometricIsomorphism("distance", gd, vassign.pairs)
+
+
 def jittered(g, rng, t):
     coords = {v: (x + rng.uniform(-t, t), y + rng.uniform(-t, t)) for v, (x, y) in g.coords.items()}
     return GeometricGraph(g.vertices, g.edges, coords)
@@ -736,12 +779,11 @@ class TestAlignmentMatchesReference:
                 if identity_wins:
                     assert got is g2
 
-    def test_isomorphism_matches_reference(self, monkeypatch):
+    def test_isomorphism_matches_reference(self):
         pairs = [(g1, g2) for g1, g2 in self.random_pairs()]
         pairs += [(g1, g2) for g1, g2, _ in self.tie_pairs()]
         got = [geometric_graph_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
-        monkeypatch.setattr(geometric, "graph_alignment", reference_alignment)
-        want = [geometric_graph_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
+        want = [reference_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
         assert got == want
         assert {r.verdict for r in got} == {"isomorphic", "t_tolerant", "distance"}
 
@@ -849,6 +891,23 @@ class TestGeometricIsomorphism:
         g = square()
         r = geometric_graph_isomorphism(g, g)
         assert dict(r.vertex_mapping) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    @pytest.mark.parametrize("extra_vertex", [False, True])
+    def test_rows_extracted_once_per_graph(self, monkeypatch, extra_vertex):
+        g1 = square()
+        g2 = similarity_copy(g1, 0.3, 2.0, (1.0, -1.0))
+        if extra_vertex:  # unequal sizes: the pair is padded
+            g2 = GeometricGraph(range(5), g2.edges, {**g2.coords, 4: (0.5, 0.5)})
+        extracted, forbidden = [], []
+        monkeypatch.setattr(
+            geometric, "geometric_rows", lambda g: extracted.append(g) or geometric_rows(g)
+        )
+        for name in ("pad_to_equal", "_moved"):
+            monkeypatch.setattr(geometric, name, lambda *args, name=name: forbidden.append(name))
+        r = geometric_graph_isomorphism(g1, g2, tolerance=0.1)
+        assert r.verdict == ("distance" if extra_vertex else "isomorphic")
+        assert extracted == [g1, g2]
+        assert forbidden == []
 
 
 # -- weighted distance -------------------------------------------------------

@@ -101,9 +101,18 @@ class TestConnectivity:
         assert is_cut_vertex(g, 1)
 
     def test_cut_vertices_agree_with_removal_definition(self):
+        # Direct definition: v is a cut vertex iff its component splits.
         for seed in range(40):
             g = random_graph(12, 0.18, seed=seed)
-            expected = {v for v in g.vertices if is_cut_vertex(g, v)}
+            expected = set()
+            for comp in connected_components(g):
+                for v in comp:
+                    rest = [u for u in comp if u != v]
+                    sub = AttributedGraph(
+                        rest, [e for e in g.edges if e[0] in rest and e[1] in rest]
+                    )
+                    if component_count(sub) > 1:
+                        expected.add(v)
             assert cut_vertices(g) == expected
 
     def test_is_cut_vertex_matches_component_splitting(self):
