@@ -12,23 +12,19 @@ and insertions plus the edge operations they induce.  Costs:
 * path contraction (a preprocessing op, see the contraction module):
   z_path * d(mu(u1), mu(un)) between the chain's endpoint labels.
 
-Deletions can be exempted (cost 0) for chosen vertices; ``extended_exemption``
-builds the set for the degree-k, non-cut-vertex rule.
-
 The tree search processes g1's vertices in their stored order; each level
 either maps the next vertex onto an unused g2 vertex or deletes it, and
 leftover g2 vertices are inserted when a leaf is reached.  Expansions read
 index tables (node costs, edge ids, edge costs, bitmasks) built once per
 call, never the graph objects.  The exact search is A* under one admissible
-count bound: unmatched vertices on either side, less the free deletions left,
-plus the gap between g1's edges inside the unprocessed suffix and g2's edges
-between unused vertices.  It returns an optimal path; when several paths tie
-for the optimum, which one comes back depends on the bound, so a tied
-mapping may differ from the one an uninformed search would return.
-``beam_width`` keeps only w partial paths per level, ranked on the path cost
-alone and picked so that widening the beam never drops a narrower beam's
-survivors; the result is an upper bound on the exact distance that is
-nonincreasing in w.
+count bound: unmatched vertices on either side, plus the gap between g1's
+edges inside the unprocessed suffix and g2's edges between unused vertices.
+It returns an optimal path; when several paths tie for the optimum, which
+one comes back depends on the bound, so a tied mapping may differ from the
+one an uninformed search would return.  ``beam_width`` keeps only w partial
+paths per level, ranked on the path cost alone and picked so that widening
+the beam never drops a narrower beam's survivors; the result is an upper
+bound on the exact distance that is nonincreasing in w.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometric import solve_lsap
-from .graphs import AttributedGraph, canonical_edge, cut_vertices
+from .graphs import AttributedGraph, canonical_edge
 
 
 def label_distance(a, b) -> float:
@@ -81,24 +77,6 @@ DEFAULT_PARAMS = EditCostParams()
 
 
 @dataclass(frozen=True)
-class DeletionExemption:
-    """Vertices of g1 whose deletion costs nothing."""
-
-    vertices: frozenset[int]
-
-    def exempt(self, v: int) -> bool:
-        return v in self.vertices
-
-
-def extended_exemption(g: AttributedGraph, k: int) -> DeletionExemption:
-    """Free deletion for degree-k vertices that are not cut vertices."""
-    cuts = cut_vertices(g)
-    return DeletionExemption(
-        frozenset(v for v in g.vertices if g.degree(v) == k and v not in cuts)
-    )
-
-
-@dataclass(frozen=True)
 class EditOp:
     kind: str  # node_sub, node_del, node_ins, edge_sub, edge_del, edge_ins, path_contract
     source: object = None
@@ -108,20 +86,12 @@ class EditOp:
     cost: float = 0.0
 
 
-def edit_cost(
-    op: EditOp,
-    params: EditCostParams = DEFAULT_PARAMS,
-    exempt: DeletionExemption | None = None,
-) -> float:
+def edit_cost(op: EditOp, params: EditCostParams = DEFAULT_PARAMS) -> float:
     """Cost of one edit operation under ``params``."""
     kind = op.kind
     if kind == "node_sub":
         return params.y_node * label_distance(op.source_label, op.target_label)
-    if kind == "node_del":
-        if exempt is not None and exempt.exempt(op.source):
-            return 0.0
-        return params.x_node
-    if kind == "node_ins":
+    if kind in ("node_del", "node_ins"):
         return params.x_node
     if kind == "edge_sub":
         return params.y_edge * label_distance(op.source_label, op.target_label)
@@ -160,7 +130,6 @@ def path_from_mapping(
     g2: AttributedGraph,
     mapping: dict[int, int],
     params: EditCostParams = DEFAULT_PARAMS,
-    exempt: DeletionExemption | None = None,
 ) -> EditPath:
     """The complete edit path induced by an injective partial node mapping.
 
@@ -173,7 +142,7 @@ def path_from_mapping(
 
     def add(kind, source=None, target=None, source_label=None, target_label=None):
         cost = edit_cost(
-            EditOp(kind, source, target, source_label, target_label), params, exempt
+            EditOp(kind, source, target, source_label, target_label), params
         )
         ops.append(EditOp(kind, source, target, source_label, target_label, cost))
 
@@ -220,9 +189,9 @@ class _SearchContext:
     expansions never branch on edge existence.
     """
 
-    def __init__(self, g1, g2, params, exempt):
+    def __init__(self, g1, g2, params):
         self.params = params
-        self.g1, self.g2, self.exempt = g1, g2, exempt
+        self.g1, self.g2 = g1, g2
         self.u_list, self.v_list = g1.vertices, g2.vertices
         n1 = self.n1 = len(self.u_list)
         n2 = self.n2 = len(self.v_list)
@@ -246,10 +215,9 @@ class _SearchContext:
         # as index -1 by a deleted vertex) is -1.
         self.edge_ids2 = [row + [-1] for row in _edge_ids(g2)]
 
-        exempt_flags = [exempt is not None and exempt.exempt(u) for u in self.u_list]
         self.delete_cost = []
         for i in range(n1):
-            cost = 0.0 if exempt_flags[i] else params.x_node
+            cost = params.x_node
             for q in range(i):
                 if ids1[i][q] >= 0:
                     cost += params.x_edge
@@ -258,17 +226,11 @@ class _SearchContext:
         # The bound's node part depends only on i and the number of used g2
         # vertices; its edge part needs the g1 edges with both endpoints at
         # position >= i (inner1) and the g2 edges between unused vertices.
-        exempt_suffix = [0] * (n1 + 1)
         self.inner1 = [0] * (n1 + 1)
         for i in range(n1 - 1, -1, -1):
-            exempt_suffix[i] = exempt_suffix[i + 1] + exempt_flags[i]
             self.inner1[i] = self.inner1[i + 1] + sum(a >= 0 for a in ids1[i][i + 1:])
         self.node_bound = [
-            [
-                params.x_node * max(0, (n2 - k) - (n1 - i))
-                + params.x_node * max(0, (n1 - i) - (n2 - k) - exempt_suffix[i])
-                for k in range(n2 + 1)
-            ]
+            [params.x_node * abs((n2 - k) - (n1 - i)) for k in range(n2 + 1)]
             for i in range(n1 + 1)
         ]
         pos2 = {v: j for j, v in enumerate(self.v_list)}
@@ -313,10 +275,10 @@ class _SearchContext:
     def heuristic(self, i: int, used: int) -> float:
         """Admissible bound on the cost of completing a prefix of length i.
 
-        Node part: unmatched vertices on the larger side, less the free
-        deletions left.  Edge part: each g1 edge inside the unprocessed
-        suffix is substituted onto a g2 edge between two unused vertices or
-        paid for, and vice versa; every other edge cost is nonnegative.
+        Node part: unmatched vertices on the larger side.  Edge part: each g1
+        edge inside the unprocessed suffix is substituted onto a g2 edge
+        between two unused vertices or paid for, and vice versa; every other
+        edge cost is nonnegative.
         """
         return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
             self.inner1[i] - self.free_edges(used)
@@ -326,7 +288,7 @@ class _SearchContext:
         as_dict = {
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
-        return path_from_mapping(self.g1, self.g2, as_dict, self.params, self.exempt)
+        return path_from_mapping(self.g1, self.g2, as_dict, self.params)
 
 
 def _edge_ids(g: AttributedGraph) -> list[list[int]]:
@@ -344,7 +306,6 @@ def ged(
     params: EditCostParams = DEFAULT_PARAMS,
     *,
     beam_width: int | None = None,
-    exempt: DeletionExemption | None = None,
 ) -> EditPath:
     """Graph edit distance between g1 and g2.
 
@@ -354,7 +315,7 @@ def ged(
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    ctx = _SearchContext(g1, g2, params, exempt)
+    ctx = _SearchContext(g1, g2, params)
     if beam_width is not None:
         return _beam(ctx, beam_width)
     return _astar(ctx)

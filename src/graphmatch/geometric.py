@@ -516,6 +516,8 @@ def geometric_graph_isomorphism(
     strictly below ``tolerance`` for every matched vertex pair.  Graphs of
     unequal size are padded and can only yield a distance verdict.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     r1, r2 = _rows_of(g1), _rows_of(g2)
     sizes_match = len(r1.coords) == len(r2.coords) and len(r1.edges) == len(r2.edges)
     r1, r2 = _pair(r1, r2, "ed")

@@ -365,6 +365,17 @@ class TestIsocheck:
         out = capsys.readouterr().out
         assert out.startswith("distance")
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_invalid_tolerance_is_an_error(self, tmp_path, capsys, tolerance):
+        coords = [(0.0, 0.0), (1.0, 0.2), (1.4, 1.0)]
+        moved = [(x + 0.01, y) for x, y in coords[:2]] + coords[2:]
+        g1 = self.geometric_file(tmp_path, "a.gxl", coords)
+        g2 = self.geometric_file(tmp_path, "b.gxl", moved)
+        assert run("isocheck", "--g1", g1, "--g2", g2, "--tolerance", tolerance) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be finite and >= 0")
+
     def test_attributed_input_rejected(self, tmp_path, capsys):
         path = tmp_path / "plain.gxl"
         path.write_text(write_gxl(AttributedGraph([0, 1], [(0, 1)])))

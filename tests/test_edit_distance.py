@@ -11,11 +11,9 @@ import pytest
 from graphmatch.editdist import (
     DEFAULT_PARAMS,
     _SearchContext,
-    DeletionExemption,
     EditCostParams,
     EditOp,
     edit_cost,
-    extended_exemption,
     ged,
     ged_bipartite,
     label_distance,
@@ -37,7 +35,7 @@ def _dist(a, b):
     return 1.0
 
 
-def oracle_ged(g1, g2, params=DEFAULT_PARAMS, exempt=frozenset()):
+def oracle_ged(g1, g2, params=DEFAULT_PARAMS):
     """Minimum edit cost over every injective partial node mapping.
 
     Prices each mapping from scratch, sharing no code with the search under
@@ -53,11 +51,7 @@ def oracle_ged(g1, g2, params=DEFAULT_PARAMS, exempt=frozenset()):
                     params.y_node * _dist(g1.node_label(u), g2.node_label(v))
                     for u, v in m.items()
                 )
-                cost += sum(
-                    0.0 if u in exempt else params.x_node
-                    for u in v1
-                    if u not in m
-                )
+                cost += params.x_node * (len(v1) - k)
                 cost += params.x_node * (len(v2) - k)
                 hit = set()
                 for a, b in g1.edges:
@@ -120,9 +114,9 @@ def is_same_labeled_graph(g1, g2):
 
 class TestEditCost:
     def test_node_delete_constant(self):
-        op = EditOp("node_del", source=0)
-        assert edit_cost(op) == 1.0
-        assert edit_cost(op, EditCostParams(x_node=2.5)) == 2.5
+        for op in (EditOp("node_del", source=0), EditOp("node_ins", target=0)):
+            assert edit_cost(op) == 1.0
+            assert edit_cost(op, EditCostParams(x_node=2.5)) == 2.5
 
     def test_node_substitution_euclidean(self):
         op = EditOp("node_sub", 0, 1, (0.0, 0.0), (3.0, 4.0))
@@ -152,13 +146,6 @@ class TestEditCost:
         assert edit_cost(op) == pytest.approx(1.0)
         assert edit_cost(op, EditCostParams(z_path=0.25)) == pytest.approx(0.25)
 
-    def test_exempt_deletion_is_free(self):
-        ex = DeletionExemption(frozenset({7}))
-        assert edit_cost(EditOp("node_del", source=7), exempt=ex) == 0.0
-        assert edit_cost(EditOp("node_del", source=8), exempt=ex) == 1.0
-        # Insertions never get the exemption.
-        assert edit_cost(EditOp("node_ins", target=7), exempt=ex) == 1.0
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             edit_cost(EditOp("edge_flip"))
@@ -172,18 +159,6 @@ class TestEditCost:
             EditCostParams(x_node=float("nan"))
         with pytest.raises(ValueError):
             EditCostParams(x_edge=float("inf"))
-
-
-class TestExtendedExemption:
-    def test_leaves_exempt_cut_vertices_not(self):
-        # P3: both endpoints have degree 1 and are exempt, the middle is not.
-        g = AttributedGraph(range(3), [(0, 1), (1, 2)])
-        assert extended_exemption(g, 1).vertices == frozenset({0, 2})
-        assert extended_exemption(g, 2).vertices == frozenset()
-
-    def test_triangle_degree_two_exempt(self):
-        g = AttributedGraph(range(3), [(0, 1), (1, 2), (0, 2)])
-        assert extended_exemption(g, 2).vertices == frozenset({0, 1, 2})
 
 
 # -- path construction -------------------------------------------------------
@@ -305,32 +280,6 @@ class TestExactGed:
             guided = ged(g1, g2).total_cost
             assert guided == pytest.approx(oracle_ged(g1, g2))
 
-    def test_heuristic_with_exemption(self):
-        rng = random.Random(59)
-        for _ in range(15):
-            g1 = random_graph(5, 0.5, seed=rng.randrange(10**9))
-            g2 = random_graph(3, 0.5, seed=rng.randrange(10**9))
-            ex = extended_exemption(g1, 1)
-            guided = ged(g1, g2, exempt=ex).total_cost
-            assert guided == pytest.approx(oracle_ged(g1, g2, exempt=ex.vertices))
-
-    def test_exemption_matches_oracle(self):
-        rng = random.Random(61)
-        for _ in range(20):
-            g1 = random_graph(4, 0.5, seed=rng.randrange(10**9))
-            g2 = random_graph(3, 0.5, seed=rng.randrange(10**9))
-            ex = extended_exemption(g1, 1)
-            got = ged(g1, g2, exempt=ex).total_cost
-            assert got == pytest.approx(oracle_ged(g1, g2, exempt=ex.vertices))
-
-    def test_exemption_only_discounts_deletions(self):
-        # P3 vs a single vertex: both leaves exempt, their edges still paid.
-        g1 = AttributedGraph(range(3), [(0, 1), (1, 2)])
-        g2 = AttributedGraph([0])
-        assert ged(g1, g2).total_cost == pytest.approx(4.0)
-        ex = extended_exemption(g1, 1)
-        assert ged(g1, g2, exempt=ex).total_cost == pytest.approx(2.0)
-
     def test_returned_path_transforms_g1_into_g2(self):
         rng = random.Random(67)
         for _ in range(20):
@@ -417,7 +366,7 @@ class TestSearchBound:
             for _ in range(20):
                 g1 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
-                ctx = _SearchContext(g1, g2, params, None)
+                ctx = _SearchContext(g1, g2, params)
                 for i in range(g1.n):
                     mapping = tuple(rng.randrange(-1, g2.n) for _ in range(i))
                     for j in range(g2.n):
@@ -438,15 +387,14 @@ class TestSearchBound:
             for _ in range(80):
                 g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
-                ctx = _SearchContext(g1, g2, params, None)
+                ctx = _SearchContext(g1, g2, params)
                 _enumerate_prefixes(ctx, check)
         for _ in range(80):
             g1 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
             g2 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
-            ctx = _SearchContext(g1, g2, DEFAULT_PARAMS, extended_exemption(g1, 1))
+            ctx = _SearchContext(g1, g2, DEFAULT_PARAMS)
             best = _enumerate_prefixes(ctx, check)
-            exempt = extended_exemption(g1, 1).vertices
-            assert best == pytest.approx(oracle_ged(g1, g2, exempt=exempt))
+            assert best == pytest.approx(oracle_ged(g1, g2))
         assert checked > 100_000
 
     def test_exact_matches_oracle_up_to_six_vertices(self):
@@ -464,7 +412,7 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                root = _SearchContext(g1, g2, params, None).heuristic(0, 0)
+                root = _SearchContext(g1, g2, params).heuristic(0, 0)
                 exact = ged(g1, g2, params).total_cost
                 assert root <= exact + 1e-9
                 assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9

@@ -869,6 +869,14 @@ class TestGeometricIsomorphism:
         assert r.verdict == "distance"
         assert r.distance > 0.0
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_invalid_tolerance_rejected(self, tolerance):
+        # A jittered copy would otherwise get a silent "distance" verdict.
+        g1 = square()
+        nudged = GeometricGraph(g1.vertices, g1.edges, {**g1.coords, 2: (1.0, 1.01)})
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            geometric_graph_isomorphism(g1, nudged, tolerance=tolerance)
+
     def test_structurally_different_same_size(self):
         coords = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)}
         g1 = GeometricGraph(range(4), [(0, 1), (1, 2), (2, 3)], coords)
