@@ -237,9 +237,11 @@ def _distance_row(matcher, test, train):
         start = time.perf_counter()
         try:
             d = matcher.distance(test_graph, train_graph)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, MemoryError) as e:
+            # a MemoryError usually carries no message; its type is the reason
+            reason = "MemoryError" if isinstance(e, MemoryError) else e
             distances.append(None)
-            failures.append(f"{test_id} vs {train_id}: {e}")
+            failures.append(f"{test_id} vs {train_id}: {reason}")
             continue
         times.append(time.perf_counter() - start)
         distances.append(d)

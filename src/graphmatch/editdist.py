@@ -17,14 +17,17 @@ either maps the next vertex onto an unused g2 vertex or deletes it, and
 leftover g2 vertices are inserted when a leaf is reached.  Expansions read
 index tables (node costs, edge ids, edge costs, bitmasks) built once per
 call, never the graph objects.  The exact search is A* under one admissible
-count bound: unmatched vertices on either side, plus the gap between g1's
-edges inside the unprocessed suffix and g2's edges between unused vertices.
-It returns an optimal path; when several paths tie for the optimum, which
-one comes back depends on the bound, so a tied mapping may differ from the
-one an uninformed search would return.  ``beam_width`` keeps only w partial
-paths per level, ranked on the path cost alone and picked so that widening
-the beam never drops a narrower beam's survivors; the result is an upper
-bound on the exact distance that is nonincreasing in w.
+bound.  Its node part is label-aware: the deletions or insertions forced by
+the vertex counts, plus each other unprocessed g1 vertex at its cheapest
+substitution or deletion.  Its edge part is the gap between g1's edges
+inside the unprocessed suffix and g2's edges between unused vertices.  Only
+the exact search builds the bound tables.  It returns an optimal path; when
+several paths tie for the optimum, which one comes back depends on the
+bound, so a tied mapping may differ from the one an uninformed search would
+return.  ``beam_width`` keeps only w partial paths per level, ranked on the
+path cost alone and picked so that widening the beam never drops a narrower
+beam's survivors; the result is an upper bound on the exact distance that
+is nonincreasing in w.
 """
 
 from __future__ import annotations
@@ -222,21 +225,8 @@ class _SearchContext:
                 if ids1[i][q] >= 0:
                     cost += params.x_edge
             self.delete_cost.append(cost)
-
-        # The bound's node part depends only on i and the number of used g2
-        # vertices; its edge part needs the g1 edges with both endpoints at
-        # position >= i (inner1) and the g2 edges between unused vertices.
-        self.inner1 = [0] * (n1 + 1)
-        for i in range(n1 - 1, -1, -1):
-            self.inner1[i] = self.inner1[i + 1] + sum(a >= 0 for a in ids1[i][i + 1:])
-        self.node_bound = [
-            [params.x_node * abs((n2 - k) - (n1 - i)) for k in range(n2 + 1)]
-            for i in range(n1 + 1)
-        ]
         pos2 = {v: j for j, v in enumerate(self.v_list)}
         self.edge_masks2 = [1 << pos2[a] | 1 << pos2[b] for a, b in g2.edges]
-        self.adj2 = [sum(1 << pos2[w] for w in g2.neighbors(v)) for v in self.v_list]
-        self._free_edges: dict[int, int] = {}
 
     def substitute_delta(self, mapping: tuple, i: int, j: int) -> float:
         """Cost of mapping u_i onto v_j on top of the processed prefix."""
@@ -259,36 +249,66 @@ class _SearchContext:
                 cost += p.x_edge
         return cost
 
-    def free_edges(self, used: int) -> int:
-        """Number of g2 edges with both endpoints outside ``used``."""
-        count = self._free_edges.get(used)
-        if count is None:
-            free = ~used
-            count = sum(
-                (self.adj2[j] & free).bit_count()
-                for j in range(self.n2)
-                if free >> j & 1
-            ) // 2
-            self._free_edges[used] = count
-        return count
-
-    def heuristic(self, i: int, used: int) -> float:
-        """Admissible bound on the cost of completing a prefix of length i.
-
-        Node part: unmatched vertices on the larger side.  Edge part: each g1
-        edge inside the unprocessed suffix is substituted onto a g2 edge
-        between two unused vertices or paid for, and vice versa; every other
-        edge cost is nonnegative.
-        """
-        return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
-            self.inner1[i] - self.free_edges(used)
-        )
-
     def finish(self, mapping: tuple) -> EditPath:
         as_dict = {
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
         return path_from_mapping(self.g1, self.g2, as_dict, self.params)
+
+
+class _ExactContext(_SearchContext):
+    """The search tables plus the bound tables only A* reads.
+
+    The bound's node part depends only on i and the number k of used g2
+    vertices.  With a = n1 - i unprocessed g1 vertices and b = n2 - k unused
+    g2 vertices, |a - b| of them are deleted or inserted at x_node each, and
+    each unprocessed g1 vertex q costs at least its cheapest fate
+    ``min(x_node, min_j node_cost[q][j])``.  Charging x_node to the forced
+    operations and the cheapest fate to the rest gives x_node * |a - b| plus
+    the min(a, b) smallest fates: the node part of the bipartite lower bound
+    (Riesen, Fankhauser & Bunke 2007), never below the plain count.  The
+    edge part needs the g1 edges with both endpoints at position >= i
+    (inner1).
+    """
+
+    def __init__(self, g1, g2, params):
+        super().__init__(g1, g2, params)
+        n1, n2, x = self.n1, self.n2, params.x_node
+        pos1 = {u: i for i, u in enumerate(self.u_list)}
+        first = [min(pos1[a], pos1[b]) for a, b in g1.edges]
+        self.inner1 = [sum(f >= i for f in first) for i in range(n1 + 1)]
+        cheapest = [min([x, *row]) for row in self.node_cost]
+        self.node_bound = []
+        for i in range(n1 + 1):
+            kept = list(itertools.accumulate(sorted(cheapest[i:]), initial=0.0))
+            self.node_bound.append([
+                x * abs((n2 - k) - (n1 - i)) + kept[min(n1 - i, n2 - k)]
+                for k in range(n2 + 1)
+            ])
+        self._free_edges: dict[int, int] = {}
+
+    def free_edges(self, used: int) -> int:
+        """Number of g2 edges with both endpoints outside ``used``."""
+        count = self._free_edges.get(used)
+        if count is None:
+            count = self._free_edges[used] = sum(
+                not used & mask for mask in self.edge_masks2
+            )
+        return count
+
+    def heuristic(self, i: int, used: int) -> float:
+        """Admissible bound on the cost of completing a prefix of length i.
+
+        Node part: the deletions or insertions the vertex counts force, plus
+        the cheapest substitution or deletion of each remaining unprocessed
+        g1 vertex (see the class docstring).  Edge part: each g1 edge inside
+        the unprocessed suffix is substituted onto a g2 edge between two
+        unused vertices or paid for, and vice versa; every other edge cost is
+        nonnegative.
+        """
+        return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
+            self.inner1[i] - self.free_edges(used)
+        )
 
 
 def _edge_ids(g: AttributedGraph) -> list[list[int]]:
@@ -315,13 +335,12 @@ def ged(
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    ctx = _SearchContext(g1, g2, params)
     if beam_width is not None:
-        return _beam(ctx, beam_width)
-    return _astar(ctx)
+        return _beam(_SearchContext(g1, g2, params), beam_width)
+    return _astar(_ExactContext(g1, g2, params))
 
 
-def _astar(ctx: _SearchContext) -> EditPath:
+def _astar(ctx: _ExactContext) -> EditPath:
     counter = itertools.count()
     # Entries: (f, -depth, seq, cost, i, used, mapping, completed)
     heap = [(ctx.heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]

@@ -85,6 +85,16 @@ def split_of(name, *instances):
     return DatasetSplit(name, tuple(instances))
 
 
+class MemoryErrorOnLargeTrain(MatcherSpec):
+    """``ged`` that runs out of memory on every pair whose train graph has
+    more than one vertex.  Module level, so spawned workers can unpickle it."""
+
+    def distance(self, g1, g2):
+        if self.prepare(g2).data.n > 1:
+            raise MemoryError
+        return super().distance(g1, g2)
+
+
 class TestMatcherSpec:
     def test_valid_forms_parse(self):
         for method in VALID_METHODS:
@@ -234,6 +244,21 @@ class TestKnnClassify:
         assert result.mean_accuracy == 100.0  # classified from the surviving pair
         assert len(result.failures) == 1
         assert result.pair_count == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_error_fails_its_pair_alone(self, jobs):
+        train = split_of(
+            "train",
+            point_instance(1.0, "a", "a1"),
+            LabeledInstance(edge_graph((0.0, 0.0), (1.0, 0.0)), "b", "big"),
+            point_instance(3.0, "b", "b1"),
+        )
+        test = split_of(
+            "test", point_instance(0.0, "a", "t1"), point_instance(2.9, "b", "t2")
+        )
+        result = knn_classify(train, test, MemoryErrorOnLargeTrain("ged"), 1, jobs=jobs)
+        assert result.failures == ("t1 vs big: MemoryError", "t2 vs big: MemoryError")
+        assert result.pair_count == 4
 
     def test_all_pairs_failing_counts_as_miss(self):
         train = split_of(

@@ -8,8 +8,10 @@ import random
 
 import pytest
 
+from graphmatch import editdist
 from graphmatch.editdist import (
     DEFAULT_PARAMS,
+    _ExactContext,
     _SearchContext,
     EditCostParams,
     EditOp,
@@ -359,6 +361,29 @@ BOUND_PARAMS = (
 )
 
 
+def _count_table(ctx):
+    """The node part of the plain count bound: x_node per unmatched vertex
+    on the larger side."""
+    x = ctx.params.x_node
+    return [
+        [x * abs((ctx.n2 - k) - (ctx.n1 - i)) for k in range(ctx.n2 + 1)]
+        for i in range(ctx.n1 + 1)
+    ]
+
+
+def symbol_graph(rng, n, p):
+    """Random graph with symbol node labels and symbol or empty edge labels."""
+    base = random_graph(n, p, seed=rng.randrange(10**9))
+    node_labels = {v: rng.choice("ABC") for v in base.vertices}
+    edge_labels = {e: rng.choice(("s", "d", None)) for e in base.edges}
+    return AttributedGraph(base.vertices, base.edges, node_labels, edge_labels)
+
+
+def random_graph_of(rng, n, p):
+    """Random graph with empty labels."""
+    return random_graph(n, p, seed=rng.randrange(10**9))
+
+
 class TestSearchBound:
     def test_tables_match_graph_queries_exactly(self):
         rng = random.Random(103)
@@ -387,12 +412,12 @@ class TestSearchBound:
             for _ in range(80):
                 g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
-                ctx = _SearchContext(g1, g2, params)
+                ctx = _ExactContext(g1, g2, params)
                 _enumerate_prefixes(ctx, check)
         for _ in range(80):
             g1 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
             g2 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
-            ctx = _SearchContext(g1, g2, DEFAULT_PARAMS)
+            ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
             best = _enumerate_prefixes(ctx, check)
             assert best == pytest.approx(oracle_ged(g1, g2))
         assert checked > 100_000
@@ -412,10 +437,54 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                root = _SearchContext(g1, g2, params).heuristic(0, 0)
+                root = _ExactContext(g1, g2, params).heuristic(0, 0)
                 exact = ged(g1, g2, params).total_cost
                 assert root <= exact + 1e-9
                 assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9
+
+    def test_node_bound_never_below_the_count_bound(self):
+        rng = random.Random(127)
+        for params in BOUND_PARAMS:
+            for _ in range(40):
+                g1 = labeled_graph(rng, rng.randrange(7), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(7), 0.5)
+                ctx = _ExactContext(g1, g2, params)
+                assert len(ctx.node_bound) == g1.n + 1
+                for i, row in enumerate(ctx.node_bound):
+                    assert len(row) == g2.n + 1
+                    for k, bound in enumerate(row):
+                        assert bound >= params.x_node * abs((g2.n - k) - (g1.n - i))
+
+    def test_root_bound_above_the_count_bound_on_average(self):
+        rng = random.Random(131)
+        label_aware, count = 0.0, 0.0
+        for _ in range(40):
+            g1 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
+            g2 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
+            ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
+            label_aware += ctx.heuristic(0, 0)
+            ctx.node_bound = _count_table(ctx)
+            count += ctx.heuristic(0, 0)
+        assert label_aware / 40 > count / 40
+
+    def test_exact_totals_equal_those_under_the_count_bound(self, monkeypatch):
+        rng = random.Random(137)
+        pairs = []
+        for make in (labeled_graph, symbol_graph, random_graph_of):
+            for _ in range(70):
+                g1 = make(rng, rng.randrange(7), 0.5)
+                pairs.append((g1, make(rng, rng.randrange(7), 0.5)))
+        label_aware = [ged(g1, g2).total_cost for g1, g2 in pairs]
+
+        class CountBoundContext(_ExactContext):
+            def __init__(self, g1, g2, params):
+                super().__init__(g1, g2, params)
+                self.node_bound = _count_table(self)
+
+        monkeypatch.setattr(editdist, "_ExactContext", CountBoundContext)
+        count = [ged(g1, g2).total_cost for g1, g2 in pairs]
+        assert len(pairs) >= 200
+        assert label_aware == pytest.approx(count, rel=1e-12)
 
 
 # -- beam search ---------------------------------------------------------
@@ -426,6 +495,20 @@ class TestBeamSearch:
         g = AttributedGraph(range(2))
         with pytest.raises(ValueError):
             ged(g, g, beam_width=0)
+
+    def test_beam_builds_no_bound_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("beam search built A*'s bound tables")
+
+        monkeypatch.setattr(_ExactContext, "__init__", refuse)
+        rng = random.Random(139)
+        for _ in range(20):
+            g1 = labeled_graph(rng, rng.randrange(7), 0.5)
+            g2 = labeled_graph(rng, rng.randrange(7), 0.5)
+            for w in (1, 3, 10):
+                assert ged(g1, g2, beam_width=w).complete
+        with pytest.raises(AssertionError, match="bound tables"):
+            ged(g1, g2)
 
     def test_upper_bounds_exact(self):
         rng = random.Random(71)
