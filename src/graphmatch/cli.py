@@ -14,6 +14,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -37,19 +38,28 @@ from .datasets import (
     write_cxl,
     write_gxl,
 )
-from .editdist import DEFAULT_PARAMS, EditCostParams
+from .editdist import DEFAULT_PARAMS
 from .geometric import DistanceWeights, GeometricGraph, geometric_graph_isomorphism
 
 _ISOCHECK_CODES = {"isomorphic": 0, "t_tolerant": 1, "distance": 2}
 
 
-def _cost_params(text: str | None) -> EditCostParams:
+def _float_fields(text: str | None, flag: str, default):
+    """``flag``'s comma-separated floats as the fields of ``default``'s
+    dataclass, in order; ``default`` itself when the flag is absent."""
     if text is None:
-        return DEFAULT_PARAMS
+        return default
+    names = [f.name for f in fields(default)]
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("--cost needs 5 values: x_node,y_node,x_edge,y_edge,z_path")
-    return EditCostParams(*(float(p) for p in parts))
+    if len(parts) != len(names):
+        raise ValueError(f"{flag} needs {len(names)} values: {','.join(names)}")
+    values = []
+    for name, part in zip(names, parts):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{flag}: {name} is not a number: {part!r}") from None
+    return type(default)(*values)
 
 
 def positive_int(text: str) -> int:
@@ -57,15 +67,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _weights(text: str | None) -> DistanceWeights:
-    if text is None:
-        return DistanceWeights(0.25, 0.25, 0.25, 0.25)
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--start needs 4 values: w1,w2,w3,w4")
-    return DistanceWeights(*(float(p) for p in parts))
 
 
 def _read_graph(path: str, profile: str):
@@ -96,7 +97,7 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_classify(args) -> int:
-    matcher = MatcherSpec(args.method, _cost_params(args.cost))
+    matcher = MatcherSpec(args.method, _float_fields(args.cost, "--cost", DEFAULT_PARAMS))
     train = _load_split(args.train, args.data, args.profile, "train")
     test = _load_split(args.test, args.data, args.profile, "test")
     result = knn_classify(
@@ -156,7 +157,7 @@ def _cmd_bench(args) -> int:
     if not methods:
         raise ValueError(f"--methods {args.methods!r} names no method")
     pairs = _bench_pairs(args)
-    params = _cost_params(args.cost)
+    params = _float_fields(args.cost, "--cost", DEFAULT_PARAMS)
     rows, distance_rows = [], []
     for method in methods:
         summary = benchmark(pairs, MatcherSpec(method, params), args.reps)
@@ -217,9 +218,8 @@ def _cmd_isocheck(args) -> int:
 def _cmd_tune(args) -> int:
     train = _load_split(args.train, args.data, args.profile, "train")
     validation = _load_split(args.validation, args.data, args.profile, "validation")
-    weights = tune_weights(
-        train, validation, _weights(args.start), delta=args.delta, align=args.align
-    )
+    start = _float_fields(args.start, "--start", DistanceWeights(0.25, 0.25, 0.25, 0.25))
+    weights = tune_weights(train, validation, start, delta=args.delta, align=args.align)
     w1, w2, w3, w4 = weights.as_tuple()
     method = f"geometric({w1!r},{w2!r},{w3!r},{w4!r}" + (",align)" if args.align else ")")
     accuracy = knn_classify(train, validation, MatcherSpec(method), 1).mean_accuracy

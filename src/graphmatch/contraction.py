@@ -126,11 +126,22 @@ def _merged_label(g: AttributedGraph, run) -> object:
     return labels.pop() if len(labels) == 1 else None
 
 
+def _kept_interiors(kind: str, path, edges) -> list:
+    """Interiors a run keeps by ``path_contract``'s rule, given the edges laid so far."""
+    if kind == "cycle":
+        return sorted(path)[:3]
+    if path[0] == path[-1]:
+        return path[1:3]
+    if canonical_edge(path[0], path[-1]) in edges:
+        return [min(path[1:-1])]
+    return []
+
+
 def _contract_runs(g: AttributedGraph):
     """Path-contraction core: contracted graph, report, merged segments.
 
-    A segment is the vertex sequence a contraction replaced by one edge
-    (anchors included); segments of a single edge are never reported.
+    Each run is cut at its ends and kept vertices into pieces laid as one edge
+    each; a segment is a piece longer than one edge, anchors included.
     """
     runs = _runs(g)
     interior: set[int] = set()
@@ -144,48 +155,18 @@ def _contract_runs(g: AttributedGraph):
         if e[0] not in interior and e[1] not in interior
     }
     segments: list[tuple[int, ...]] = []
-
-    def lay(path) -> None:
-        e = canonical_edge(path[0], path[-1])
-        edges[e] = _merged_label(g, path)
-        if len(path) > 2:
-            segments.append(tuple(path))
-
     for kind, path in runs:
-        if kind == "cycle":
-            # no anchors at all: reduce to a triangle on the three smallest
-            # ids so the cycle's presence survives without self-loops
-            if len(path) == 3:
-                survivors.update(path)
-                for i in range(3):
-                    lay([path[i], path[(i + 1) % 3]])
-                continue
-            keep = sorted(path)[:3]
-            survivors.update(keep)
-            pos = sorted(path.index(c) for c in keep)
-            for i, p in enumerate(pos):
-                q = pos[(i + 1) % 3]
-                lay(path[p : q + 1] if q > p else path[p:] + path[: q + 1])
-        elif path[0] == path[-1]:
-            # cycle anchored at one vertex: full contraction would need a
-            # self-loop, so the first two interiors stay as a triangle
-            v1, v2 = path[1], path[2]
-            survivors.update((v1, v2))
-            lay(path[:2])
-            lay(path[1:3])
-            lay(path[2:])
-        else:
-            a, b = path[0], path[-1]
-            if canonical_edge(a, b) in edges:
-                # a parallel run or an original chord already owns a-b; keep
-                # one interior so this run contracts to a distinct 2-path
-                w = min(path[1:-1])
-                survivors.add(w)
-                i = path.index(w)
-                lay(path[: i + 1])
-                lay(path[i:])
-            else:
-                lay(path)
+        keep = _kept_interiors(kind, path, edges)
+        survivors.update(keep)
+        if kind == "cycle":  # start and end at the first kept vertex
+            i = min(map(path.index, keep))
+            path = path[i:] + path[: i + 1]
+        cuts = [i for i, v in enumerate(path) if v in keep or i in (0, len(path) - 1)]
+        for p, q in zip(cuts, cuts[1:]):
+            piece = path[p : q + 1]
+            edges[canonical_edge(piece[0], piece[-1])] = _merged_label(g, piece)
+            if len(piece) > 2:
+                segments.append(tuple(piece))
 
     keep_order = [v for v in g.vertices if v not in interior or v in survivors]
     contracted = g._rebuild(keep_order, list(edges), edges)
@@ -198,10 +179,17 @@ def path_contract(g: AttributedGraph) -> tuple[AttributedGraph, ContractionRepor
 
     The result is homeomorphic to the input: smoothing inverts edge
     subdivision, so vertex counts per degree other than 2 are unchanged.
-    Runs that cannot collapse to one edge without breaking simplicity
-    (parallel runs between the same anchors, cycles) keep just enough
-    interior vertices to stay simple.  A merged edge keeps the label its
-    constituent edges agree on, and drops to None when they differ.
+    Each run, in ``_runs`` order, keeps just enough interior vertices for
+    the result to stay simple (no self-loop, no parallel edge):
+
+    - a cycle with no anchor keeps its three smallest ids;
+    - a cycle hanging off one anchor keeps its first two interiors;
+    - a chain whose anchors are already joined, by an original edge or by a
+      run laid earlier, keeps its smallest interior;
+    - any other chain keeps none.
+
+    A merged edge keeps the label its constituent edges agree on, and drops
+    to None when they differ.
     """
     contracted, report, _ = _contract_runs(g)
     return contracted, report

@@ -23,6 +23,7 @@ cover the data of interest:
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -371,8 +372,8 @@ def synthesize_corpus(
     """
     if classes < 1 or per_class < 1:
         raise ValueError("classes and per_class must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError("n_range must satisfy 1 <= lo <= hi")

@@ -299,28 +299,15 @@ def pad_to_equal(
     edge list receives empty feature slots.
     """
 
-    def pad(g: GeometricGraph, n_target: int, f_target: int) -> GeometricGraph:
-        extra_n = n_target - g.n
-        extra_f = f_target - (g.m + g.empty_edges)
-        if extra_n == 0 and extra_f == 0:
+    def pad(g: GeometricGraph, n: int, slots: int) -> GeometricGraph:
+        if g.n == n and g.m + g.empty_edges == slots:
             return g
-        vertices = list(g.vertices)
-        coords = dict(g.coords)
-        labels = dict(g.node_labels)
-        mean = _mean([g.coords[v] for v in g.vertices])
-        next_id = max(vertices, default=-1) + 1
-        for _ in range(extra_n):
-            vertices.append(next_id)
-            coords[next_id] = mean
-            labels[next_id] = None
-            next_id += 1
+        start = max(g.vertices, default=-1) + 1
+        new = range(start, start + n - g.n)
+        coords = {**g.coords, **dict.fromkeys(new, g.mean_coord())}
         return GeometricGraph(
-            vertices,
-            g.edges,
-            coords,
-            labels,
-            dict(g.edge_labels),
-            empty_edges=g.empty_edges + extra_f,
+            g.vertices + tuple(new), g.edges, coords, g.node_labels, g.edge_labels,
+            empty_edges=slots - g.m,
         )
 
     n_target = max(g1.n, g2.n)

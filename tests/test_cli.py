@@ -71,6 +71,16 @@ class TestSynth:
         for f1 in sorted(out1.glob("*.gxl")):
             assert f1.read_text() == (out2 / f1.name).read_text()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, tmp_path, capsys, sigma):
+        out = tmp_path / "corpus"
+        code = run(
+            "synth", "--classes", 2, "--per-class", 2, "--sigma", sigma, "--seed", 1, "--out", out
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: sigma must be finite and >= 0\n"
+        assert not out.exists()
+
 
 class TestClassify:
     def test_zero_sigma_corpus_is_perfectly_classified(self, tmp_path):
@@ -169,6 +179,20 @@ class TestClassify:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_numeric_cost_entry_names_flag_and_entry(self, tmp_path, capsys):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
+        code = run(
+            "classify",
+            "--train", train_index,
+            "--test", train_index,
+            "--data", data,
+            "--method", "ged",
+            "--cost", "1, x,1,1,1",
+            "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --cost: y_node is not a number: 'x'\n"
 
     def test_non_finite_geometric_weight(self, tmp_path, capsys):
         data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
@@ -451,6 +475,28 @@ class TestTune:
         )
         assert code == 0
         assert json.loads(out.read_text())["w1"] == pytest.approx(0.4)
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ("0.4,0.2,w,0.2", "error: --start: w3 is not a number: 'w'"),
+            ("0.4,0.2", "error: --start needs 4 values: w1,w2,w3,w4"),
+        ],
+    )
+    def test_bad_start_flag(self, tmp_path, capsys, start, message):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=2)
+        out = tmp_path / "weights.json"
+        code = run(
+            "tune",
+            "--train", train_index,
+            "--validation", train_index,
+            "--data", data,
+            "--start", start,
+            "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
 
     def test_molecule_corpus_without_coordinates_rejected(self, tmp_path, capsys):
         entries = []

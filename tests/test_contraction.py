@@ -12,6 +12,10 @@ import pytest
 
 from graphmatch.contraction import (
     ContractionReport,
+    _contract_op,
+    _contract_runs,
+    _merged_label,
+    _runs,
     hged,
     k_node_contraction,
     k_star_ged,
@@ -23,6 +27,7 @@ from graphmatch.editdist import EditCostParams, ged
 from graphmatch.graphs import (
     AttributedGraph,
     GeometricGraph,
+    canonical_edge,
     component_count,
     is_cut_vertex,
     random_graph,
@@ -488,6 +493,138 @@ class TestSweepsMatchReference:
                 at_n, at_n_report = contract(g, g.n)
                 assert (huge.vertices, huge.edges) == (at_n.vertices, at_n.edges)
                 assert huge_report == at_n_report
+
+
+# -- differential check of path contraction --------------------------------
+
+
+def reference_contract_runs(g, cases=None):
+    """Path contraction with one hand-written branch per run case, each
+    laying its own pieces; ``cases`` counts the cases met."""
+    runs = _runs(g)
+    interior = set()
+    for kind, path in runs:
+        interior.update(path if kind == "cycle" else path[1:-1])
+    survivors = set()
+    edges = {e: g.edge_labels[e] for e in g.edges if not interior.intersection(e)}
+    segments = []
+
+    def lay(path):
+        edges[canonical_edge(path[0], path[-1])] = _merged_label(g, path)
+        if len(path) > 2:
+            segments.append(tuple(path))
+
+    for kind, path in runs:
+        if kind == "cycle" and len(path) == 3:
+            case = "triangle"
+            survivors.update(path)
+            for i in range(3):
+                lay([path[i], path[(i + 1) % 3]])
+        elif kind == "cycle":
+            case = "cycle"
+            keep = sorted(path)[:3]
+            survivors.update(keep)
+            pos = sorted(path.index(c) for c in keep)
+            for i, p in enumerate(pos):
+                q = pos[(i + 1) % 3]
+                lay(path[p : q + 1] if q > p else path[p:] + path[: q + 1])
+        elif path[0] == path[-1]:
+            case = "anchored cycle"
+            survivors.update(path[1:3])
+            lay(path[:2])
+            lay(path[1:3])
+            lay(path[2:])
+        elif canonical_edge(path[0], path[-1]) in edges:
+            case = "joined chain"
+            w = min(path[1:-1])
+            survivors.add(w)
+            i = path.index(w)
+            lay(path[: i + 1])
+            lay(path[i:])
+        else:
+            case = "chain"
+            lay(path)
+        if cases is not None:
+            cases[case] += 1
+
+    contracted = g._rebuild(
+        [v for v in g.vertices if v not in interior or v in survivors], list(edges), edges
+    )
+    removed = sorted(interior - survivors)
+    return contracted, ContractionReport.of(g, contracted, removed), segments
+
+
+def planted_graph(rng):
+    """Up to 14 vertices with shuffled, non-contiguous ids, a few disjoint
+    planted cycles, sparse random edges on top, vector vertex labels and
+    edge labels drawn from a small set (None included)."""
+    n = rng.randint(0, 14)
+    ids = rng.sample(range(-4, 40), n)
+    pool = ids[:]
+    edges = set()
+    while len(pool) >= 3 and rng.random() < 0.6:
+        k = rng.randint(3, min(len(pool), 7))
+        ring, pool = pool[:k], pool[k:]
+        edges.update(canonical_edge(ring[i], ring[(i + 1) % k]) for i in range(k))
+    p = rng.choice((0.0, 0.08, 0.15, 0.25))
+    edges.update(e for e in itertools.combinations(sorted(ids), 2) if rng.random() < p)
+    return AttributedGraph(
+        ids,
+        sorted(edges),
+        node_labels={v: (float(rng.randint(0, 3)), 0.0) for v in ids},
+        edge_labels={e: rng.choice(("a", "b", None)) for e in edges},
+    )
+
+
+def assert_same_contraction(g, cases=None):
+    """``_contract_runs`` and ``path_contract`` against the reference."""
+    ref, ref_report, ref_segments = reference_contract_runs(g, cases)
+    out, report, segments = _contract_runs(g)
+    for actual in ((out, report), path_contract(g)):
+        assert_same_result(actual, (ref, ref_report.removed))
+        assert actual[1] == ref_report
+    assert segments == ref_segments
+
+
+ALL_RUN_CASES = {"triangle", "cycle", "anchored cycle", "joined chain", "chain"}
+
+
+class TestPathContractMatchesReference:
+    def test_every_small_graph(self):
+        cases = collections.Counter()
+        for n in range(7):
+            for mask in range(2 ** (n * (n - 1) // 2)):
+                assert_same_contraction(labelled_graph(n, mask), cases)
+        assert set(cases) == ALL_RUN_CASES
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2024)
+        cases = collections.Counter()
+        for _ in range(4000):
+            assert_same_contraction(planted_graph(rng), cases)
+        assert set(cases) == ALL_RUN_CASES
+
+    def test_hged_matches_reference(self):
+        rng = random.Random(77)
+        params = EditCostParams(z_path=0.5)
+        checked = contracted = 0
+        while checked < 200:
+            g1, g2 = planted_graph(rng), planted_graph(rng)
+            h1, _, segments1 = reference_contract_runs(g1)
+            h2, _, segments2 = reference_contract_runs(g2)
+            if max(h1.n, h2.n) > 6:
+                continue
+            pre = tuple(
+                _contract_op(g, seg, params)
+                for g, segments in ((g1, segments1), (g2, segments2))
+                for seg in segments
+            )
+            path = hged(g1, g2, params)
+            assert path.total_cost == ged(h1, h2, params).total_cost
+            assert path.preprocessing == pre
+            checked += 1
+            contracted += bool(pre)
+        assert contracted >= 50
 
 
 # -- contraction-based edit distance ----------------------------------------
