@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .contraction import ContractionReport, _sweep
+from .contraction import ContractionReport, contract_nodes
 from .editdist import DEFAULT_PARAMS, EditCostParams, EditPath, ged
 from .graphs import AttributedGraph, connected_components
 from .graphs import is_cut_vertex  # noqa: F401 -- perfbench/tracing.py wraps this name
@@ -136,17 +136,19 @@ def centrality(g: AttributedGraph, measure: str) -> CentralityVector:
 # -- centrality-guided contraction -----------------------------------------
 
 
-def _rounds_contraction(g: AttributedGraph, rounds: int, measure: str):
-    """Strip minimum-centrality vertices over a fixed number of rounds.
+def _least_central(g: AttributedGraph, rounds: int, measure: str) -> list:
+    """The ``contract_nodes`` stages stripping minimum-centrality vertices
+    over a fixed number of rounds.
 
     The ranking is computed once on the input, so round r takes the r-th
     vertex in (score, id) order and removes it unless that would change the
     component count; a blocked selection still uses up its round.
     """
     if rounds == 0 or g.n == 0:
-        return g, []
+        return []
     ranking = centrality(g, measure).scores
-    return _sweep(g, sorted(g.vertices, key=lambda u: (ranking[u], u))[:rounds], True)
+    flagged = sorted(g.vertices, key=lambda u: (ranking[u], u))[:rounds]
+    return [lambda adj: flagged]
 
 
 def r_centrality_node_contraction(
@@ -155,8 +157,7 @@ def r_centrality_node_contraction(
     """Contract the least central ceil(r * n) vertices, components kept."""
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must be in [0, 1]")
-    out, removed = _rounds_contraction(g, math.ceil(r * g.n), measure)
-    return out, ContractionReport.of(g, out, removed)
+    return contract_nodes(g, _least_central(g, math.ceil(r * g.n), measure))
 
 
 def t_centrality_node_contraction(
@@ -165,8 +166,7 @@ def t_centrality_node_contraction(
     """Contract the least central vertices over exactly t rounds."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    out, removed = _rounds_contraction(g, t, measure)
-    return out, ContractionReport.of(g, out, removed)
+    return contract_nodes(g, _least_central(g, t, measure))
 
 
 def r_centrality_ged(

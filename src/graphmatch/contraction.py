@@ -9,16 +9,15 @@ and the degree-1..k cascade ``k_star_node_contraction``) or unguarded
 (``k_star_node_deletion``); ``k_star_ged`` matches the cascade-contracted
 graphs.
 
-Sweeps flag their victims up front: a pass over degree k first marks every
-vertex currently of degree k, then visits the marked vertices in ascending
-id order and removes each one the guard allows, even if earlier removals
-changed its degree.  A triangle at k=2 therefore loses two vertices, not
-one.  Guards are evaluated on the graph left so far, kept as a live
-adjacency that the cascade carries across its degree stages; each call
-builds its result graph once.  Each degree up to the input's maximum is swept
-exactly once per pass (removals never raise a degree, so no higher stage
-could flag a vertex); the cascade is not a fixpoint iteration: contracting
-can expose new low-degree vertices that only a later call would pick up.
+Every node contraction here and in ``centrality`` is a setting of one
+engine, ``contract_nodes``: stages flag their victims up front on one live
+adjacency, and a sweep visits the flagged vertices in order and removes each
+one the guard allows, even if earlier removals changed its degree.  A
+degree-k stage flags every vertex currently of degree k in ascending id
+order, so a triangle at k=2 loses two vertices, not one.  Each degree up to
+the input's maximum is swept exactly once per call; the cascade is not a
+fixpoint iteration: contracting can expose new low-degree vertices that only
+a later call would pick up.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .graphs import (
 
 __all__ = [
     "ContractionReport",
+    "contract_nodes",
     "path_contract",
     "hged",
     "k_node_contraction",
@@ -234,38 +234,42 @@ def hged(
 # -- degree-based node contraction -------------------------------------------
 
 
-def _remove(adj: dict, candidates, guarded: bool) -> list:
-    """Drop ``candidates`` in order from the live adjacency ``adj``; with
-    ``guarded``, keep any whose removal would change the component count of
-    what is left.  Returns the removed vertices in removal order."""
-    removed = []
-    for v in candidates:
-        if guarded and (not adj[v] or _separates(adj, v)):
-            continue
-        for w in adj.pop(v):
-            adj[w].discard(v)
-        removed.append(v)
-    return removed
+def contract_nodes(
+    g: AttributedGraph, stages, guarded: bool = True
+) -> tuple[AttributedGraph, ContractionReport]:
+    """The one node-removal engine behind every node contraction.
 
-
-def _sweep(g: AttributedGraph, candidates, guarded: bool):
-    """``_remove`` on ``g``'s adjacency.  Builds the result once, and returns
-    ``g`` itself when nothing was removed."""
-    removed = _remove({v: set(g.neighbors(v)) for v in g.vertices}, candidates, guarded)
-    return (g.without_vertices(removed) if removed else g), removed
-
-
-def _cascade(g: AttributedGraph, k: int, guarded: bool):
-    """Degree stages 1..k on one live adjacency; each stage flags the
-    vertices of that degree in what the earlier stages left."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    Copies ``g``'s adjacency once and runs ``stages`` on it in order: each
+    stage maps the adjacency left so far to the vertices it flags, and the
+    sweep then visits them in that order, removing each one (with
+    ``guarded``, only when that keeps the component count of what is left:
+    cut vertices and isolated vertices stay).  Builds the result once,
+    returning ``g`` itself when nothing was removed, with its report.
+    """
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     removed = []
-    top = max(map(len, adj.values()), default=0)  # removals never raise a degree
-    for degree in range(1, min(k, top) + 1):
-        removed += _remove(adj, sorted(v for v in adj if len(adj[v]) == degree), guarded)
-    return (g.without_vertices(removed) if removed else g), removed
+    for stage in stages:
+        for v in stage(adj):
+            if guarded and (not adj[v] or _separates(adj, v)):
+                continue
+            for w in adj.pop(v):
+                adj[w].discard(v)
+            removed.append(v)
+    out = g.without_vertices(removed) if removed else g
+    return out, ContractionReport.of(g, out, removed)
+
+
+def _degree_stages(g: AttributedGraph, low: int, k: int) -> list:
+    """One stage per degree low..k, each flagging the vertices of that degree
+    in ascending id order; degrees above ``g``'s maximum are skipped, since
+    removals never raise a degree and no such stage could flag a vertex."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    top = max(map(g.degree, g.vertices), default=0)
+    return [
+        lambda adj, d=d: sorted(v for v in adj if len(adj[v]) == d)
+        for d in range(low, min(k, top) + 1)
+    ]
 
 
 def k_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:
@@ -275,22 +279,17 @@ def k_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, Con
     order; a flagged vertex is removed unless that would split a component
     or erase one (cut vertices and sole survivors stay).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out, removed = _sweep(g, sorted(v for v in g.vertices if g.degree(v) == k), True)
-    return out, ContractionReport.of(g, out, removed)
+    return contract_nodes(g, _degree_stages(g, k, k))
 
 
 def k_star_node_contraction(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:
     """Degree-1 through degree-k contraction sweeps, each on the last result."""
-    out, removed = _cascade(g, k, guarded=True)
-    return out, ContractionReport.of(g, out, removed)
+    return contract_nodes(g, _degree_stages(g, 1, k))
 
 
 def k_star_node_deletion(g: AttributedGraph, k: int) -> tuple[AttributedGraph, ContractionReport]:
     """The degree-1..k cascade without the guard; components may split."""
-    out, removed = _cascade(g, k, guarded=False)
-    return out, ContractionReport.of(g, out, removed)
+    return contract_nodes(g, _degree_stages(g, 1, k), guarded=False)
 
 
 def k_star_ged(

@@ -10,10 +10,10 @@ cover the data of interest:
     becomes both the vertex coordinate and a 2-vector node label.  Edge
     labels are ignored (letter data has none).
 ``molecule``
-    nodes carry a chemical symbol (attribute ``symbol`` or ``chem`` by
-    default; the name set is overridable since AIDS-style files vary).
-    Coordinates are used when every node has them, otherwise the result is a
-    plain attributed graph and geometric operations on it stay unavailable.
+    nodes carry a chemical symbol in attribute ``symbol`` or, as in some
+    AIDS-style files, ``chem``.  Coordinates are used when every node has
+    them, otherwise the result is a plain attributed graph and geometric
+    operations on it stay unavailable.
 ``generic``
     node and edge labels come from ``label`` attributes, coordinates from
     ``x``/``y`` when total.  This profile parses anything ``write_gxl``
@@ -29,18 +29,11 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import AttributedGraph, GeometricGraph, canonical_edge, random_graph
 
 PROFILES = ("letter", "molecule", "generic")
-
-_ATTR_NAMES: dict[str, tuple[str, ...]] = {
-    "x": ("x",),
-    "y": ("y",),
-    "symbol": ("symbol", "chem"),
-    "label": ("label",),
-}
 
 
 class GxlParseError(ValueError):
@@ -120,25 +113,19 @@ def _attrs(el: ET.Element) -> dict[str, object]:
     return out
 
 
-def _first(attrs: Mapping[str, object], names: Sequence[str]):
-    for name in names:
-        if name in attrs:
-            return attrs[name]
-    return None
-
-
 def _as_float(value, what: str) -> float:
     try:
         return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise GxlParseError(f"non-numeric {what}: {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise GxlParseError(f"{what} is not a float: {value!r:.40}") from None
 
 
 def _label_from(value):
-    # bare numeric labels become 1-vectors; strings and tup values pass through
-    if value is None or isinstance(value, (str, tuple)):
+    # strings pass through; numbers become 1-vectors and tup values vectors
+    if value is None or isinstance(value, str):
         return value
-    return (float(value),)
+    entries = value if isinstance(value, tuple) else (value,)
+    return tuple(_as_float(x, "label entry") for x in entries)
 
 
 def _graph_element(root: ET.Element) -> ET.Element:
@@ -160,23 +147,13 @@ def _vertex_ids(raw_ids: Sequence[str]) -> list[int]:
     return resolved
 
 
-def parse_gxl(
-    content: bytes | str,
-    profile: str,
-    attr_names: Mapping[str, tuple[str, ...]] | None = None,
-) -> AttributedGraph:
-    """Parse one GXL document into a graph under the given profile.
-
-    ``attr_names`` overrides entries of the default attribute-name map
-    (keys ``x``, ``y``, ``symbol``, ``label``, each mapping to the names
-    tried in order).
-    """
+def parse_gxl(content: bytes | str, profile: str) -> AttributedGraph:
+    """Parse one GXL document into a graph under the given profile."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    names = dict(_ATTR_NAMES, **(attr_names or {}))
     try:
         root = ET.fromstring(content)
-    except ET.ParseError as e:
+    except (ET.ParseError, LookupError) as e:  # LookupError: unknown encoding
         raise GxlParseError(f"malformed document: {e}") from None
     graph = _graph_element(root)
 
@@ -196,7 +173,7 @@ def parse_gxl(
     node_labels: dict[int, object] = {}
     for raw, v, node in zip(raw_ids, ids, node_elements):
         attrs = _attrs(node)
-        x, y = _first(attrs, names["x"]), _first(attrs, names["y"])
+        x, y = attrs.get("x"), attrs.get("y")
         if x is not None and y is not None:
             coords[v] = (_as_float(x, "x coordinate"), _as_float(y, "y coordinate"))
         elif profile == "letter":
@@ -204,10 +181,10 @@ def parse_gxl(
         if profile == "letter":
             node_labels[v] = coords[v]
         elif profile == "molecule":
-            symbol = _first(attrs, names["symbol"])
+            symbol = attrs.get("symbol", attrs.get("chem"))
             node_labels[v] = None if symbol is None else str(symbol)
         else:
-            node_labels[v] = _label_from(_first(attrs, names["label"]))
+            node_labels[v] = _label_from(attrs.get("label"))
 
     edges: list[tuple[int, int]] = []
     edge_labels: dict[tuple[int, int], object] = {}
@@ -220,7 +197,7 @@ def parse_gxl(
         u, w = id_map[a], id_map[b]
         edges.append((u, w))
         if profile != "letter":
-            label = _label_from(_first(_attrs(edge), names["label"]))
+            label = _label_from(_attrs(edge).get("label"))
             if label is not None:
                 edge_labels[canonical_edge(u, w)] = label
 
@@ -244,8 +221,6 @@ def _encode_value(parent: ET.Element, value) -> None:
         tup = ET.SubElement(parent, "tup")
         for item in value:
             _encode_value(tup, item)
-    elif isinstance(value, int):
-        ET.SubElement(parent, "int").text = str(value)
     else:
         ET.SubElement(parent, "float").text = repr(float(value))
 
@@ -323,7 +298,7 @@ def load_dataset(
     data_dir = Path(data_dir)
     try:
         root = ET.parse(index_path).getroot()
-    except ET.ParseError as e:
+    except (ET.ParseError, LookupError) as e:
         raise GxlParseError(f"malformed index: {e}") from None
     instances: list[LabeledInstance] = []
     errors: list[str] = []

@@ -189,7 +189,9 @@ class _SearchContext:
     vertices; a mapping is a tuple whose q-th entry is the g2 position of
     g1's q-th vertex, or -1 when that vertex is deleted.  Edge rows use -1
     for "no edge" too, and every -1 lands on a trailing sentinel entry, so
-    expansions never branch on edge existence.
+    expansions never branch on edge existence.  ``delete_cost[i]`` is the
+    cost of deleting u_i on top of the processed prefix: x_node plus x_edge
+    for each of its edges into g1's first i vertices.
     """
 
     def __init__(self, g1, g2, params):
@@ -235,10 +237,6 @@ class _SearchContext:
         for row, jq in zip(self.edge_rows1[i], mapping):
             cost += row[ids2[jq]]
         return cost
-
-    def delete_delta(self, i: int) -> float:
-        """Cost of deleting u_i: the node plus its edges into the prefix."""
-        return self.delete_cost[i]
 
     def completion_delta(self, used: int) -> float:
         """Insert every unused g2 vertex and each edge touching one."""
@@ -367,7 +365,7 @@ def _astar(ctx: _ExactContext) -> EditPath:
                 heap,
                 (c + h, -(i + 1), next(counter), c, i + 1, nused, mapping + (j,), False),
             )
-        c = cost + ctx.delete_delta(i)
+        c = cost + ctx.delete_cost[i]
         h = ctx.heuristic(i + 1, used)
         heapq.heappush(
             heap,
@@ -402,7 +400,7 @@ def _beam(ctx: _SearchContext, width: int) -> EditPath:
                     ),
                 )
             heapq.heappush(
-                heap, (cost + ctx.delete_delta(i), next(counter), used, mapping + (-1,))
+                heap, (cost + ctx.delete_cost[i], next(counter), used, mapping + (-1,))
             )
             kept.append(heapq.heappop(heap))
         while len(kept) < width and heap:

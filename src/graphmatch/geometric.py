@@ -60,8 +60,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import GeometricGraph, _mean, canonical_edge
 
-CostMatrix = np.ndarray
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -71,7 +69,7 @@ class Assignment:
     total_cost: float
 
 
-def solve_lsap(cost: CostMatrix) -> Assignment:
+def solve_lsap(cost: np.ndarray) -> Assignment:
     """Minimum-cost linear sum assignment (Hungarian method, O(n^3)).
 
     Infinite entries mark forbidden pairings; the matrix must still admit a
@@ -456,6 +454,13 @@ def graph_alignment(
 
 @dataclass(frozen=True)
 class GeometricIsomorphism:
+    """An isomorphism verdict, its distance and the optimal vertex assignment.
+
+    ``vertex_mapping`` holds positions, not vertex ids: each pair is (index
+    into g1's padded vertex order, index into g2's).  Vertices (10, 20, 30)
+    matched onto (7, 5, 3) in reverse read ((0, 2), (1, 1), (2, 0)).
+    """
+
     verdict: str  # "isomorphic" | "t_tolerant" | "distance"
     distance: float
     vertex_mapping: tuple[tuple[int, int], ...] = ()

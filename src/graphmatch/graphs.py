@@ -17,9 +17,6 @@ import math
 import random
 from typing import Collection, Iterable, Mapping, Sequence
 
-Label = tuple[float, ...] | str | None
-Coord = tuple[float, float]
-
 
 def _normalize_label(value):
     """Coerce a raw label into its canonical form (tuple / str / None)."""
@@ -103,7 +100,6 @@ class AttributedGraph:
         self._adj: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in adj.items()
         }
-        self._edge_set = seen
 
     # -- basic accessors -------------------------------------------------
 
@@ -122,7 +118,7 @@ class AttributedGraph:
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edge_set
+        return canonical_edge(u, v) in self.edge_labels
 
     def node_label(self, v: int):
         return self.node_labels[v]

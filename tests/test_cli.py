@@ -349,6 +349,24 @@ class TestContract:
         assert code == 2
         assert "needs --k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '<?xml version="1.0" encoding="no-such-codec"?><gxl><graph/></gxl>',
+            '<gxl><graph><node id="_0"><attr name="label">'
+            "<tup><tup><float>1.0</float></tup></tup></attr></node></graph></gxl>",
+            f'<gxl><graph><node id="_0"><attr name="x"><int>{"9" * 400}</int></attr>'
+            '<attr name="y"><float>0.0</float></attr></node></graph></gxl>',
+        ],
+        ids=["unknown-encoding", "nested-tup-label", "int-beyond-float"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, doc):
+        src = tmp_path / "bad.gxl"
+        src.write_text(doc)
+        code = run("contract", "--in", src, "--mode", "path", "--out", tmp_path / "o.gxl")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestIsocheck:
     def geometric_file(self, tmp_path, name, coords, edges=((0, 1), (1, 2))):

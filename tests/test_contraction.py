@@ -10,6 +10,12 @@ import statistics
 
 import pytest
 
+from graphmatch.centrality import (
+    MEASURES,
+    centrality,
+    r_centrality_node_contraction,
+    t_centrality_node_contraction,
+)
 from graphmatch.contraction import (
     ContractionReport,
     _contract_op,
@@ -433,14 +439,23 @@ def labelled_graph(n, mask):
     )
 
 
-def assert_same_result(actual, expected):
+def assert_same_result(g, actual, expected):
+    """A contraction of ``g`` against the reference: the same graph, and the
+    whole report, its sizes and component counts recomputed from ``g`` and
+    the reference graph."""
     (out, report), (ref, ref_removed) = actual, expected
     assert type(out) is type(ref)
     assert out.vertices == ref.vertices
     assert out.edges == ref.edges
     assert out.node_labels == ref.node_labels
     assert out.edge_labels == ref.edge_labels
-    assert report.removed == ref_removed
+    assert report == ContractionReport(
+        removed=ref_removed,
+        before_n=g.n,
+        after_n=ref.n,
+        components_before=component_count(g),
+        components_after=component_count(ref),
+    )
 
 
 def sweeps_under_test(k):
@@ -465,7 +480,7 @@ class TestSweepsMatchReference:
                 g = labelled_graph(n, mask)
                 for k in range(5):
                     for sweep, reference in sweeps_under_test(k):
-                        assert_same_result(sweep(g), reference(g))
+                        assert_same_result(g, sweep(g), reference(g))
 
     def test_geometric_graph_keeps_coordinates_and_padding(self):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)]
@@ -481,7 +496,7 @@ class TestSweepsMatchReference:
             for sweep, reference in sweeps_under_test(k):
                 out, report = sweep(g)
                 ref, removed = reference(g)
-                assert_same_result((out, report), (ref, removed))
+                assert_same_result(g, (out, report), (ref, removed))
                 assert out.coords == ref.coords
                 assert out.empty_edges == 3
 
@@ -493,6 +508,43 @@ class TestSweepsMatchReference:
                 at_n, at_n_report = contract(g, g.n)
                 assert (huge.vertices, huge.edges) == (at_n.vertices, at_n.edges)
                 assert huge_report == at_n_report
+
+
+def reference_rounds(g, rounds, measure):
+    """Centrality rounds replayed one removal at a time: the ``rounds``
+    least central vertices of the input in (score, id) order, each removed
+    unless it is isolated or a cut vertex of the graph left so far,
+    rebuilding the graph after every removal."""
+    if rounds == 0 or g.n == 0:
+        return g, ()
+    scores = centrality(g, measure).scores
+    current = g
+    removed = []
+    for v in sorted(g.vertices, key=lambda u: (scores[u], u))[:rounds]:
+        if current.degree(v) > 0 and not is_cut_vertex(current, v):
+            current = current.without_vertices([v])
+            removed.append(v)
+    return current, tuple(removed)
+
+
+class TestCentralityRoundsMatchReference:
+    def test_every_small_graph(self):
+        for n in range(6):
+            for mask in range(2 ** (n * (n - 1) // 2)):
+                g = labelled_graph(n, mask)
+                for measure in MEASURES:
+                    for r in (0.0, 0.25, 0.5, 1.0):
+                        assert_same_result(
+                            g,
+                            r_centrality_node_contraction(g, r, measure),
+                            reference_rounds(g, math.ceil(r * g.n), measure),
+                        )
+                    for t in range(4):
+                        assert_same_result(
+                            g,
+                            t_centrality_node_contraction(g, t, measure),
+                            reference_rounds(g, t, measure),
+                        )
 
 
 # -- differential check of path contraction --------------------------------
@@ -581,7 +633,7 @@ def assert_same_contraction(g, cases=None):
     ref, ref_report, ref_segments = reference_contract_runs(g, cases)
     out, report, segments = _contract_runs(g)
     for actual in ((out, report), path_contract(g)):
-        assert_same_result(actual, (ref, ref_report.removed))
+        assert_same_result(g, actual, (ref, ref_report.removed))
         assert actual[1] == ref_report
     assert segments == ref_segments
 

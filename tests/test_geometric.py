@@ -899,6 +899,13 @@ class TestGeometricIsomorphism:
         g = square()
         r = geometric_graph_isomorphism(g, g)
         assert dict(r.vertex_mapping) == {0: 0, 1: 1, 2: 2, 3: 3}
+        # positions in each graph's vertex order, not vertex ids
+        a, b, c = (0.0, 0.0), (1.0, 0.0), (0.0, 2.0)
+        g1 = GeometricGraph((10, 20, 30), [(10, 20), (20, 30)], {10: a, 20: b, 30: c})
+        g2 = GeometricGraph((7, 5, 3), [(3, 5), (5, 7)], {7: c, 5: b, 3: a})
+        r = geometric_graph_isomorphism(g1, g2)
+        assert r.verdict == "isomorphic"
+        assert r.vertex_mapping == ((0, 2), (1, 1), (2, 0))
 
     @pytest.mark.parametrize("extra_vertex", [False, True])
     def test_rows_extracted_once_per_graph(self, monkeypatch, extra_vertex):
