@@ -41,7 +41,7 @@ from .datasets import (
 from .editdist import DEFAULT_PARAMS
 from .geometric import DistanceWeights, GeometricGraph, geometric_graph_isomorphism
 
-_ISOCHECK_CODES = {"isomorphic": 0, "t_tolerant": 1, "distance": 2}
+_ISOCHECK_CODES = {"isomorphic": 0, "t_tolerant": 1, "distance": 3}
 
 
 def _float_fields(text: str | None, flag: str, default):
@@ -310,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_contract)
 
     p = sub.add_parser(
-        "isocheck", help="geometric isomorphism; exit 0/1/2 = isomorphic/tolerant/distance"
+        "isocheck",
+        help="geometric isomorphism; exit 0/1/3 = isomorphic/tolerant/distance, 2 = bad input",
     )
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)

@@ -89,20 +89,24 @@ class EditOp:
     cost: float = 0.0
 
 
-def edit_cost(op: EditOp, params: EditCostParams = DEFAULT_PARAMS) -> float:
-    """Cost of one edit operation under ``params``."""
-    kind = op.kind
+def _price(kind: str, source_label, target_label, params: EditCostParams) -> float:
+    """The cost model: the price of one operation of ``kind`` on these labels."""
     if kind == "node_sub":
-        return params.y_node * label_distance(op.source_label, op.target_label)
+        return params.y_node * label_distance(source_label, target_label)
     if kind in ("node_del", "node_ins"):
         return params.x_node
     if kind == "edge_sub":
-        return params.y_edge * label_distance(op.source_label, op.target_label)
+        return params.y_edge * label_distance(source_label, target_label)
     if kind in ("edge_del", "edge_ins"):
         return params.x_edge
     if kind == "path_contract":
-        return params.z_path * label_distance(op.source_label, op.target_label)
+        return params.z_path * label_distance(source_label, target_label)
     raise ValueError(f"unknown edit op kind {kind!r}")
+
+
+def edit_cost(op: EditOp, params: EditCostParams = DEFAULT_PARAMS) -> float:
+    """Cost of one edit operation under ``params``."""
+    return _price(op.kind, op.source_label, op.target_label, params)
 
 
 @dataclass(frozen=True)
@@ -139,44 +143,41 @@ def path_from_mapping(
     Mapped vertices are substituted, the rest of g1 deleted and the rest of
     g2 inserted; every edge operation follows from the node decisions.
     """
-    if len(set(mapping.values())) != len(mapping):
+    used = set(mapping.values())
+    if len(used) != len(mapping):
         raise ValueError("mapping is not injective")
     ops = []
 
     def add(kind, source=None, target=None, source_label=None, target_label=None):
-        cost = edit_cost(
-            EditOp(kind, source, target, source_label, target_label), params
-        )
+        cost = _price(kind, source_label, target_label, params)
         ops.append(EditOp(kind, source, target, source_label, target_label, cost))
 
+    labels1, labels2 = g1.node_labels, g2.node_labels
     for u in g1.vertices:
         if u in mapping:
             v = mapping[u]
-            add("node_sub", u, v, g1.node_label(u), g2.node_label(v))
+            add("node_sub", u, v, labels1[u], labels2[v])
         else:
-            add("node_del", u, source_label=g1.node_label(u))
-    used = set(mapping.values())
+            add("node_del", u, source_label=labels1[u])
     for v in g2.vertices:
         if v not in used:
-            add("node_ins", target=v, target_label=g2.node_label(v))
+            add("node_ins", target=v, target_label=labels2[v])
 
+    # f, the image of e, is None when an endpoint is unmapped
     image_edges = set()
-    for (a, b) in g1.edges:
-        if a in mapping and b in mapping:
-            f = canonical_edge(mapping[a], mapping[b])
-            if g2.has_edge(*f):
-                image_edges.add(f)
-                add("edge_sub", (a, b), f, g1.edge_label(a, b), g2.edge_label(*f))
-            else:
-                add("edge_del", (a, b), source_label=g1.edge_label(a, b))
+    for e, label in g1.edge_labels.items():
+        a, b = e
+        f = canonical_edge(mapping[a], mapping[b]) if a in mapping and b in mapping else None
+        if f in g2.edge_labels:
+            image_edges.add(f)
+            add("edge_sub", e, f, label, g2.edge_labels[f])
         else:
-            add("edge_del", (a, b), source_label=g1.edge_label(a, b))
-    for f in g2.edges:
+            add("edge_del", e, source_label=label)
+    for f, label in g2.edge_labels.items():
         if f not in image_edges:
-            add("edge_ins", target=f, target_label=g2.edge_label(*f))
+            add("edge_ins", target=f, target_label=label)
 
-    total = sum(op.cost for op in ops)
-    return EditPath(tuple(ops), total)
+    return EditPath(tuple(ops), sum((op.cost for op in ops), 0.0))
 
 
 # -- exact and beam search ---------------------------------------------------
@@ -247,11 +248,14 @@ class _SearchContext:
                 cost += p.x_edge
         return cost
 
-    def finish(self, mapping: tuple) -> EditPath:
+    def finish(self, mapping: tuple, cost: float) -> EditPath:
+        """The path ``mapping`` induces, checked against the search's ``cost``."""
         as_dict = {
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
-        return path_from_mapping(self.g1, self.g2, as_dict, self.params)
+        path = path_from_mapping(self.g1, self.g2, as_dict, self.params)
+        assert abs(path.total_cost - cost) < 1e-9, "search cost and path cost disagree"
+        return path
 
 
 class _ExactContext(_SearchContext):
@@ -345,10 +349,7 @@ def _astar(ctx: _ExactContext) -> EditPath:
     while heap:
         f, _, _, cost, i, used, mapping, completed = heapq.heappop(heap)
         if completed:
-            path = ctx.finish(mapping)
-            # The search cost and the reconstructed path cost must agree.
-            assert abs(path.total_cost - cost) < 1e-9
-            return path
+            return ctx.finish(mapping, cost)
         if i == ctx.n1:
             total = cost + ctx.completion_delta(used)
             heapq.heappush(
@@ -406,14 +407,11 @@ def _beam(ctx: _SearchContext, width: int) -> EditPath:
         while len(kept) < width and heap:
             kept.append(heapq.heappop(heap))
         frontier = kept
-    best = min(
-        ((cost + ctx.completion_delta(used), seq, mapping)
-         for cost, seq, used, mapping in frontier),
-        key=lambda s: (s[0], s[1]),
+    cost, _, mapping = min(
+        (cost + ctx.completion_delta(used), seq, mapping)
+        for cost, seq, used, mapping in frontier
     )
-    path = ctx.finish(best[2])
-    assert abs(path.total_cost - best[0]) < 1e-9
-    return path
+    return ctx.finish(mapping, cost)
 
 
 # -- bipartite approximation -------------------------------------------------
@@ -455,8 +453,6 @@ def ged_bipartite(
     the exact distance.
     """
     n1, n2 = g1.n, g2.n
-    if n1 == 0 and n2 == 0:
-        return EditPath((), 0.0)
     size = n1 + n2
     cost = np.full((size, size), np.inf)
     incident1, incident2 = _incident_labels(g1), _incident_labels(g2)

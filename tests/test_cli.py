@@ -403,7 +403,7 @@ class TestIsocheck:
     def test_distinct_graphs_report_distance(self, tmp_path, capsys):
         g1 = self.geometric_file(tmp_path, "a.gxl", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         g2 = self.geometric_file(tmp_path, "b.gxl", [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0)])
-        assert run("isocheck", "--g1", g1, "--g2", g2) == 2
+        assert run("isocheck", "--g1", g1, "--g2", g2) == 3
         out = capsys.readouterr().out
         assert out.startswith("distance")
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from graphmatch import editdist
+from graphmatch.contraction import hged, k_star_ged
 from graphmatch.editdist import (
     DEFAULT_PARAMS,
     _ExactContext,
@@ -198,12 +200,114 @@ class TestPathFromMapping:
         assert kinds.count("edge_ins") == 1
         assert path.total_cost == pytest.approx(1 + 2 + 1 + 1)
 
+    def test_total_is_a_float_on_an_empty_pair(self):
+        e = AttributedGraph([])
+        totals = (
+            ged(e, e).total_cost,
+            ged(e, e, beam_width=2).total_cost,
+            hged(e, e).total_cost,
+            k_star_ged(e, e, 1).total_cost,
+            ged_bipartite(e, e).total_cost,
+        )
+        assert [type(t) for t in totals] == [float] * 5
+        assert totals == (0.0,) * 5
+
     def test_empty_mapping_prices_full_rebuild(self):
         g1 = AttributedGraph(range(2), [(0, 1)])
         g2 = AttributedGraph(range(2), [(0, 1)])
         path = path_from_mapping(g1, g2, {})
         assert path.total_cost == pytest.approx(2 + 1 + 2 + 1)
 
+
+def reference_edit_cost(op, params):
+    """The cost model as one dispatch on a built op, kept as the reference."""
+    kind = op.kind
+    if kind == "node_sub":
+        return params.y_node * label_distance(op.source_label, op.target_label)
+    if kind in ("node_del", "node_ins"):
+        return params.x_node
+    if kind == "edge_sub":
+        return params.y_edge * label_distance(op.source_label, op.target_label)
+    if kind in ("edge_del", "edge_ins"):
+        return params.x_edge
+    raise ValueError(f"unknown edit op kind {kind!r}")
+
+
+def reference_path_from_mapping(g1, g2, mapping, params):
+    """The two-construction path builder: each op is built once without a
+    cost so that the cost model can price it, then again with the cost."""
+    if len(set(mapping.values())) != len(mapping):
+        raise ValueError("mapping is not injective")
+    ops = []
+
+    def add(kind, source=None, target=None, source_label=None, target_label=None):
+        cost = reference_edit_cost(
+            EditOp(kind, source, target, source_label, target_label), params
+        )
+        ops.append(EditOp(kind, source, target, source_label, target_label, cost))
+
+    for u in g1.vertices:
+        if u in mapping:
+            v = mapping[u]
+            add("node_sub", u, v, g1.node_label(u), g2.node_label(v))
+        else:
+            add("node_del", u, source_label=g1.node_label(u))
+    used = set(mapping.values())
+    for v in g2.vertices:
+        if v not in used:
+            add("node_ins", target=v, target_label=g2.node_label(v))
+
+    image_edges = set()
+    for (a, b) in g1.edges:
+        if a in mapping and b in mapping:
+            f = canonical_edge(mapping[a], mapping[b])
+            if g2.has_edge(*f):
+                image_edges.add(f)
+                add("edge_sub", (a, b), f, g1.edge_label(a, b), g2.edge_label(*f))
+            else:
+                add("edge_del", (a, b), source_label=g1.edge_label(a, b))
+        else:
+            add("edge_del", (a, b), source_label=g1.edge_label(a, b))
+    for f in g2.edges:
+        if f not in image_edges:
+            add("edge_ins", target=f, target_label=g2.edge_label(*f))
+
+    return editdist.EditPath(tuple(ops), sum(op.cost for op in ops))
+
+
+def random_params(rng):
+    """Edit costs drawn per field from zero, a few round values and a draw."""
+    return EditCostParams(**{
+        name: rng.choice((0.0, 0.5, 1.0, 2.5, rng.uniform(0.0, 3.0)))
+        for name in ("x_node", "y_node", "x_edge", "y_edge")
+    })
+
+
+class TestPathFromMappingMatchesReference:
+    def test_seeded_partial_mappings(self):
+        rng = random.Random(2718)
+        makers = (labeled_graph, symbol_graph, random_graph_of)
+        kinds = set()
+        non_injective = 0
+        for _ in range(1500):
+            g1 = rng.choice(makers)(rng, rng.randint(0, 6), rng.random())
+            g2 = rng.choice(makers)(rng, rng.randint(0, 6), rng.random())
+            params = random_params(rng)
+            kept = rng.sample(g1.vertices, rng.randint(0, min(g1.n, g2.n)))
+            mapping = dict(zip(kept, rng.sample(g2.vertices, len(kept))))
+            path = path_from_mapping(g1, g2, mapping, params)
+            reference = reference_path_from_mapping(g1, g2, mapping, params)
+            assert path.ops == reference.ops
+            assert path.total_cost == reference.total_cost
+            kinds.update(op.kind for op in path.ops)
+            spare = [u for u in g1.vertices if u not in mapping]
+            if mapping and spare:
+                mapping[rng.choice(spare)] = rng.choice(list(mapping.values()))
+                with pytest.raises(ValueError, match="not injective"):
+                    path_from_mapping(g1, g2, mapping, params)
+                non_injective += 1
+        assert len(kinds) == 6
+        assert non_injective >= 300
 
 # -- exact search --------------------------------------------------------
 
@@ -221,6 +325,21 @@ class TestExactGed:
         e = AttributedGraph([])
         assert ged(e, e).total_cost == 0.0
         assert ged(e, e).ops == ()
+
+    def test_search_cost_is_checked_against_the_path(self, monkeypatch):
+        real = editdist.path_from_mapping
+
+        def off_by_one(*args):
+            path = real(*args)
+            return replace(path, total_cost=path.total_cost + 1.0)
+
+        monkeypatch.setattr(editdist, "path_from_mapping", off_by_one)
+        g1 = AttributedGraph(range(3), [(0, 1), (1, 2)])
+        g2 = AttributedGraph(range(2), [(0, 1)])
+        with pytest.raises(AssertionError):
+            ged(g1, g2)
+        with pytest.raises(AssertionError):
+            ged(g1, g2, beam_width=2)
 
     def test_single_deletion(self):
         g = AttributedGraph([0], node_labels={0: (0.0, 0.0)})
