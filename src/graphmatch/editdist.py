@@ -12,19 +12,25 @@ and insertions plus the edge operations they induce.  Costs:
 * path contraction (a preprocessing op, see the contraction module):
   z_path * d(mu(u1), mu(un)) between the chain's endpoint labels.
 
-The tree search processes g1's vertices in their stored order; each level
-either maps the next vertex onto an unused g2 vertex or deletes it, and
-leftover g2 vertices are inserted when a leaf is reached.  Expansions read
-index tables (node costs, edge ids, edge costs, bitmasks) built once per
-call, never the graph objects.  The exact search is A* under one admissible
-bound.  Its node part is label-aware: the deletions or insertions forced by
-the vertex counts, plus each other unprocessed g1 vertex at its cheapest
-substitution or deletion.  Its edge part is the gap between g1's edges
-inside the unprocessed suffix and g2's edges between unused vertices.  Only
-the exact search builds the bound tables.  It returns an optimal path; when
-several paths tie for the optimum, which one comes back depends on the
-bound, so a tied mapping may differ from the one an uninformed search would
-return.  ``beam_width`` keeps only w partial paths per level, ranked on the
+The tree search processes g1's vertices one per level; each level either
+maps the next vertex onto an unused g2 vertex or deletes it, and leftover
+g2 vertices are inserted when a leaf is reached.  Expansions read index
+tables (node costs, edge ids, edge costs, bitmasks) built once per call,
+never the graph objects.  The exact search is A* under one admissible
+bound, and it takes g1's vertices by decreasing degree (ties by id), so
+edge costs are paid early and tighten the path cost.  The bound's node
+part is label-aware: the deletions or insertions forced by the vertex
+counts, plus each other unprocessed g1 vertex at its cheapest substitution
+or deletion.  Its edge part is the gap between g1's edges inside the
+unprocessed suffix and g2's edges between unused vertices, a count each
+search node carries.  Only the exact search builds the bound tables; beam
+search keeps g1's stored vertex order.  Either search prices its result on
+the caller's graphs in their stored order.  The exact search returns an
+optimal path; when several paths tie for the optimum, which one comes back
+depends on the bound and the search order, so a tied mapping may differ
+from the one an uninformed search would return, and its total, summed op by
+op along that mapping, may differ from the other's in the last bit.
+``beam_width`` keeps only w partial paths per level, ranked on the
 path cost alone and picked so that widening the beam never drops a narrower
 beam's survivors; the result is an upper bound on the exact distance that
 is nonincreasing in w.
@@ -186,19 +192,21 @@ def path_from_mapping(
 class _SearchContext:
     """Index tables built once per search and read by every expansion.
 
-    Positions i (into ``g1.vertices``) and j (into ``g2.vertices``) stand for
-    vertices; a mapping is a tuple whose q-th entry is the g2 position of
-    g1's q-th vertex, or -1 when that vertex is deleted.  Edge rows use -1
-    for "no edge" too, and every -1 lands on a trailing sentinel entry, so
-    expansions never branch on edge existence.  ``delete_cost[i]`` is the
+    Positions i (into the search order ``u_list``, by default
+    ``g1.vertices``) and j (into ``g2.vertices``) stand for vertices; a
+    mapping is a tuple whose q-th entry is the g2 position of the q-th
+    vertex of ``u_list``, or -1 when that vertex is deleted.  Edge rows use
+    -1 for "no edge" too, and every -1 lands on a trailing sentinel entry,
+    so expansions never branch on edge existence.  ``delete_cost[i]`` is the
     cost of deleting u_i on top of the processed prefix: x_node plus x_edge
-    for each of its edges into g1's first i vertices.
+    for each of its edges into the first i vertices of ``u_list``.
     """
 
-    def __init__(self, g1, g2, params):
+    def __init__(self, g1, g2, params, u_list=None):
         self.params = params
         self.g1, self.g2 = g1, g2
-        self.u_list, self.v_list = g1.vertices, g2.vertices
+        self.u_list = g1.vertices if u_list is None else u_list
+        self.v_list = g2.vertices
         n1 = self.n1 = len(self.u_list)
         n2 = self.n2 = len(self.v_list)
         v_labels = [g2.node_label(v) for v in self.v_list]
@@ -215,11 +223,11 @@ class _SearchContext:
         ]
         edge_cost.append([params.x_edge] * g2.m + [0.0])
         # edge_rows1[i][q]: the edge_cost row of g1's pair (i, q).
-        ids1 = _edge_ids(g1)
+        ids1 = _edge_ids(g1, self.u_list)
         self.edge_rows1 = [[edge_cost[a] for a in row] for row in ids1]
         # edge_ids2[j][k]: g2's edge between j and k, or -1; entry n2 (read
         # as index -1 by a deleted vertex) is -1.
-        self.edge_ids2 = [row + [-1] for row in _edge_ids(g2)]
+        self.edge_ids2 = [row + [-1] for row in _edge_ids(g2, self.v_list)]
 
         self.delete_cost = []
         for i in range(n1):
@@ -249,7 +257,11 @@ class _SearchContext:
         return cost
 
     def finish(self, mapping: tuple, cost: float) -> EditPath:
-        """The path ``mapping`` induces, checked against the search's ``cost``."""
+        """The path ``mapping`` induces, checked against the search's ``cost``.
+
+        The path is priced on the caller's g1 and g2, whatever the search
+        order, so its ops and float total do not depend on that order.
+        """
         as_dict = {
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
@@ -261,20 +273,26 @@ class _SearchContext:
 class _ExactContext(_SearchContext):
     """The search tables plus the bound tables only A* reads.
 
-    The bound's node part depends only on i and the number k of used g2
-    vertices.  With a = n1 - i unprocessed g1 vertices and b = n2 - k unused
-    g2 vertices, |a - b| of them are deleted or inserted at x_node each, and
-    each unprocessed g1 vertex q costs at least its cheapest fate
+    Positions index g1's vertices by decreasing degree, ties by id
+    (``u_list``), so the search pays edge costs early.  The bound's node
+    part depends only on i and the number k of used g2 vertices.  With
+    a = n1 - i unprocessed g1 vertices and b = n2 - k unused g2 vertices,
+    |a - b| of them are deleted or inserted at x_node each, and each
+    unprocessed g1 vertex q costs at least its cheapest fate
     ``min(x_node, min_j node_cost[q][j])``.  Charging x_node to the forced
     operations and the cheapest fate to the rest gives x_node * |a - b| plus
     the min(a, b) smallest fates: the node part of the bipartite lower bound
     (Riesen, Fankhauser & Bunke 2007), never below the plain count.  The
     edge part needs the g1 edges with both endpoints at position >= i
-    (inner1).
+    (inner1) and the number of g2 edges with both endpoints unused, which
+    each search node carries as ``free``: mapping onto v_j removes the edges
+    from v_j to unused vertices, ``(nbr2[j] & ~used).bit_count()``, and a
+    deletion removes none.
     """
 
     def __init__(self, g1, g2, params):
-        super().__init__(g1, g2, params)
+        order = sorted(g1.vertices, key=lambda u: (-g1.degree(u), u))
+        super().__init__(g1, g2, params, tuple(order))
         n1, n2, x = self.n1, self.n2, params.x_node
         pos1 = {u: i for i, u in enumerate(self.u_list)}
         first = [min(pos1[a], pos1[b]) for a, b in g1.edges]
@@ -287,19 +305,12 @@ class _ExactContext(_SearchContext):
                 x * abs((n2 - k) - (n1 - i)) + kept[min(n1 - i, n2 - k)]
                 for k in range(n2 + 1)
             ])
-        self._free_edges: dict[int, int] = {}
+        pos2 = {v: j for j, v in enumerate(self.v_list)}
+        self.nbr2 = [sum(1 << pos2[w] for w in g2.neighbors(v)) for v in self.v_list]
 
-    def free_edges(self, used: int) -> int:
-        """Number of g2 edges with both endpoints outside ``used``."""
-        count = self._free_edges.get(used)
-        if count is None:
-            count = self._free_edges[used] = sum(
-                not used & mask for mask in self.edge_masks2
-            )
-        return count
-
-    def heuristic(self, i: int, used: int) -> float:
-        """Admissible bound on the cost of completing a prefix of length i.
+    def heuristic(self, i: int, used: int, free: int) -> float:
+        """Admissible bound on the cost of completing a prefix of length i
+        whose used g2 vertices leave ``free`` g2 edges between unused ones.
 
         Node part: the deletions or insertions the vertex counts force, plus
         the cheapest substitution or deletion of each remaining unprocessed
@@ -309,13 +320,14 @@ class _ExactContext(_SearchContext):
         nonnegative.
         """
         return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
-            self.inner1[i] - self.free_edges(used)
+            self.inner1[i] - free
         )
 
 
-def _edge_ids(g: AttributedGraph) -> list[list[int]]:
-    """Position-by-position edge indices into ``g.edges``, -1 for no edge."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
+def _edge_ids(g: AttributedGraph, order) -> list[list[int]]:
+    """Edge indices into ``g.edges`` for each pair of positions in ``order``,
+    -1 for no edge."""
+    pos = {v: i for i, v in enumerate(order)}
     ids = [[-1] * g.n for _ in range(g.n)]
     for k, (a, b) in enumerate(g.edges):
         ids[pos[a]][pos[b]] = ids[pos[b]][pos[a]] = k
@@ -344,33 +356,39 @@ def ged(
 
 def _astar(ctx: _ExactContext) -> EditPath:
     counter = itertools.count()
-    # Entries: (f, -depth, seq, cost, i, used, mapping, completed)
-    heap = [(ctx.heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]
+    nbr2 = ctx.nbr2
+    free = ctx.g2.m
+    # Entries: (f, -depth, seq, cost, i, used, free, mapping, completed)
+    heap = [(ctx.heuristic(0, 0, free), 0, next(counter), 0.0, 0, 0, free, (), False)]
     while heap:
-        f, _, _, cost, i, used, mapping, completed = heapq.heappop(heap)
+        f, _, _, cost, i, used, free, mapping, completed = heapq.heappop(heap)
         if completed:
             return ctx.finish(mapping, cost)
         if i == ctx.n1:
             total = cost + ctx.completion_delta(used)
             heapq.heappush(
-                heap, (total, -(i + 1), next(counter), total, i, used, mapping, True)
+                heap,
+                (total, -(i + 1), next(counter), total, i, used, free, mapping, True),
             )
             continue
+        unused = ~used
         for j in range(ctx.n2):
             if used >> j & 1:
                 continue
             c = cost + ctx.substitute_delta(mapping, i, j)
             nused = used | (1 << j)
-            h = ctx.heuristic(i + 1, nused)
+            nfree = free - (nbr2[j] & unused).bit_count()
+            h = ctx.heuristic(i + 1, nused, nfree)
             heapq.heappush(
                 heap,
-                (c + h, -(i + 1), next(counter), c, i + 1, nused, mapping + (j,), False),
+                (c + h, -(i + 1), next(counter), c, i + 1, nused, nfree,
+                 mapping + (j,), False),
             )
         c = cost + ctx.delete_cost[i]
-        h = ctx.heuristic(i + 1, used)
+        h = ctx.heuristic(i + 1, used, free)
         heapq.heappush(
             heap,
-            (c + h, -(i + 1), next(counter), c, i + 1, used, mapping + (-1,), False),
+            (c + h, -(i + 1), next(counter), c, i + 1, used, free, mapping + (-1,), False),
         )
     raise RuntimeError("search exhausted without a complete path")  # pragma: no cover
 

@@ -271,12 +271,6 @@ def _separates(adj: Mapping[int, Collection[int]], v: int) -> bool:
     return reached < len(target)
 
 
-def cut_vertices(g: AttributedGraph) -> set[int]:
-    """All articulation points: the vertices ``_separates`` flags, the one
-    cut-vertex rule shared with ``is_cut_vertex`` and the contraction guards."""
-    return {v for v in g.vertices if _separates(g._adj, v)}
-
-
 # -- generation and rewiring -------------------------------------------------
 
 

@@ -1,0 +1,70 @@
+"""The summary arithmetic of tools/ab_bench.py on fixed numbers."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
+_spec = importlib.util.spec_from_file_location("ab_bench", _PATH)
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+
+def test_summarize_takes_inclusive_quartiles():
+    assert ab_bench.summarize([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0, "n": 5,
+    }
+    assert ab_bench.summarize([10.0, 12.0, 11.0, 13.0]) == {
+        "min": 10.0, "q1": 10.75, "median": 11.5, "q3": 12.25, "max": 13.0, "n": 4,
+    }
+
+
+def test_summarize_one_run():
+    assert ab_bench.summarize([7.0]) == {
+        "min": 7.0, "q1": 7.0, "median": 7.0, "q3": 7.0, "max": 7.0, "n": 1,
+    }
+
+
+def test_verdict_when_higher_is_better():
+    v = ab_bench.verdict([100.0, 110.0, 120.0, 130.0, 140.0],
+                         [150.0, 160.0, 90.0, 170.0, 180.0], "higher")
+    assert v["pairs_won_by_change"] == 4
+    assert v["pairs"] == 5
+    assert v["median_gain"] == 40.0
+    assert v["median_gain_frac"] == pytest.approx(1 / 3)
+    assert v["parent_iqr"] == 20.0
+    assert v["gain_exceeds_parent_iqr"]
+
+
+def test_verdict_when_lower_is_better_and_ties_count_for_neither():
+    v = ab_bench.verdict([10.0, 12.0, 11.0, 11.0], [9.0, 13.0, 8.0, 11.0], "lower")
+    assert v["pairs_won_by_change"] == 2
+    assert v["median_gain"] == 1.0
+    assert v["parent_iqr"] == 0.5
+    assert v["gain_exceeds_parent_iqr"]
+    worse = ab_bench.verdict([10.0, 12.0, 11.0], [10.5, 12.5, 11.5], "lower")
+    assert worse["pairs_won_by_change"] == 0
+    assert worse["median_gain"] == -0.5
+    assert not worse["gain_exceeds_parent_iqr"]
+
+
+def test_report_summarizes_float_metrics_and_judges_end_to_end_ones():
+    def run(rate, setup):
+        return {"exit": 0, "attempted": 10, "pairs_per_s": rate, "setup_s": setup,
+                "pairs_per_s.ged": rate / 2, "wall_s": 30.0, "distance_sums": {}}
+
+    pairs = [
+        {"parent": run(100.0, 1.0), "change": run(150.0, 1.0)},
+        {"parent": run(110.0, 1.2), "change": run(140.0, 0.9)},
+    ]
+    end_to_end = [{"name": "pairs_per_s", "better": "higher"},
+                  {"name": "setup_s", "better": "lower"}]
+    out = ab_bench.report(pairs, end_to_end)
+    assert set(out["summary"]["parent"]) == {"pairs_per_s", "setup_s", "pairs_per_s.ged"}
+    assert out["summary"]["change"]["pairs_per_s.ged"]["median"] == 72.5
+    assert out["verdict"]["pairs_per_s"]["pairs_won_by_change"] == 2
+    assert out["verdict"]["setup_s"]["pairs_won_by_change"] == 1
+    assert set(out["verdict"]) == {"pairs_per_s", "setup_s"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -456,22 +457,25 @@ def _reference_deltas(g1, g2, params, mapping, i, j):
 
 
 def _enumerate_prefixes(ctx, check):
-    """Walk every complete mapping; call ``check(g, i, used, best)`` at each
-    prefix, where ``best`` is the cheapest total among its completions."""
+    """Walk every complete mapping; call ``check(g, i, used, free, best)`` at
+    each prefix, where ``free`` is the free g2 edge count carried the way the
+    exact search carries it and ``best`` is the cheapest total among the
+    prefix's completions."""
 
-    def walk(i, used, mapping, g):
+    def walk(i, used, free, mapping, g):
         if i == ctx.n1:
             best = g + ctx.completion_delta(used)
         else:
-            best = walk(i + 1, used, mapping + (-1,), g + ctx.delete_cost[i])
+            best = walk(i + 1, used, free, mapping + (-1,), g + ctx.delete_cost[i])
             for j in range(ctx.n2):
                 if not used >> j & 1:
                     c = g + ctx.substitute_delta(mapping, i, j)
-                    best = min(best, walk(i + 1, used | 1 << j, mapping + (j,), c))
-        check(g, i, used, best)
+                    nfree = free - (ctx.nbr2[j] & ~used).bit_count()
+                    best = min(best, walk(i + 1, used | 1 << j, nfree, mapping + (j,), c))
+        check(g, i, used, free, best)
         return best
 
-    return walk(0, 0, (), 0.0)
+    return walk(0, 0, ctx.g2.m, (), 0.0)
 
 
 BOUND_PARAMS = (
@@ -522,10 +526,12 @@ class TestSearchBound:
         rng = random.Random(107)
         checked = 0
 
-        def check(g, i, used, best):
+        def check(g, i, used, free, best):
             nonlocal checked
             checked += 1
-            assert g + ctx.heuristic(i, used) <= best + 1e-9
+            unused = {v for j, v in enumerate(ctx.v_list) if not used >> j & 1}
+            assert free == sum(a in unused and b in unused for a, b in ctx.g2.edges)
+            assert g + ctx.heuristic(i, used, free) <= best + 1e-9
 
         for params in BOUND_PARAMS:
             for _ in range(80):
@@ -556,7 +562,7 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                root = _ExactContext(g1, g2, params).heuristic(0, 0)
+                root = _ExactContext(g1, g2, params).heuristic(0, 0, g2.m)
                 exact = ged(g1, g2, params).total_cost
                 assert root <= exact + 1e-9
                 assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9
@@ -581,9 +587,9 @@ class TestSearchBound:
             g1 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
             g2 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
             ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
-            label_aware += ctx.heuristic(0, 0)
+            label_aware += ctx.heuristic(0, 0, g2.m)
             ctx.node_bound = _count_table(ctx)
-            count += ctx.heuristic(0, 0)
+            count += ctx.heuristic(0, 0, g2.m)
         assert label_aware / 40 > count / 40
 
     def test_exact_totals_equal_those_under_the_count_bound(self, monkeypatch):
@@ -604,6 +610,232 @@ class TestSearchBound:
         count = [ged(g1, g2).total_cost for g1, g2 in pairs]
         assert len(pairs) >= 200
         assert label_aware == pytest.approx(count, rel=1e-12)
+
+
+# -- the vertex-order search the degree-order search replaced ---------------
+
+
+class ReferenceSearch:
+    """Exact and beam search tables in g1's stored vertex order, with the
+    free g2 edges recounted from the used mask at every call: the search as
+    it stood before the exact search took g1's vertices by degree."""
+
+    def __init__(self, g1, g2, params):
+        self.g1, self.g2, self.params = g1, g2, params
+        self.u_list, self.v_list = g1.vertices, g2.vertices
+        n1 = self.n1 = g1.n
+        n2 = self.n2 = g2.n
+        pos1 = {u: i for i, u in enumerate(self.u_list)}
+        pos2 = {v: j for j, v in enumerate(self.v_list)}
+        self.node_cost = [
+            [params.y_node * label_distance(g1.node_label(u), g2.node_label(v))
+             for v in self.v_list]
+            for u in self.u_list
+        ]
+        edge_cost = [
+            [params.y_edge * label_distance(g1.edge_labels[e], g2.edge_labels[f])
+             for f in g2.edges] + [params.x_edge]
+            for e in g1.edges
+        ]
+        edge_cost.append([params.x_edge] * g2.m + [0.0])
+        ids1 = [[-1] * n1 for _ in range(n1)]
+        for k, (a, b) in enumerate(g1.edges):
+            ids1[pos1[a]][pos1[b]] = ids1[pos1[b]][pos1[a]] = k
+        self.edge_rows1 = [[edge_cost[a] for a in row] for row in ids1]
+        self.edge_ids2 = [[-1] * (n2 + 1) for _ in range(n2)]
+        for k, (a, b) in enumerate(g2.edges):
+            self.edge_ids2[pos2[a]][pos2[b]] = self.edge_ids2[pos2[b]][pos2[a]] = k
+        self.delete_cost = []
+        for i in range(n1):
+            cost = params.x_node
+            for q in range(i):
+                if ids1[i][q] >= 0:
+                    cost += params.x_edge
+            self.delete_cost.append(cost)
+        self.edge_masks2 = [1 << pos2[a] | 1 << pos2[b] for a, b in g2.edges]
+        first = [min(pos1[a], pos1[b]) for a, b in g1.edges]
+        self.inner1 = [sum(f >= i for f in first) for i in range(n1 + 1)]
+        x = params.x_node
+        cheapest = [min([x, *row]) for row in self.node_cost]
+        self.node_bound = []
+        for i in range(n1 + 1):
+            kept = list(itertools.accumulate(sorted(cheapest[i:]), initial=0.0))
+            self.node_bound.append([
+                x * abs((n2 - k) - (n1 - i)) + kept[min(n1 - i, n2 - k)]
+                for k in range(n2 + 1)
+            ])
+
+    def substitute_delta(self, mapping, i, j):
+        cost = self.node_cost[i][j]
+        ids2 = self.edge_ids2[j]
+        for row, jq in zip(self.edge_rows1[i], mapping):
+            cost += row[ids2[jq]]
+        return cost
+
+    def completion_delta(self, used):
+        p = self.params
+        cost = p.x_node * (self.n2 - used.bit_count())
+        for mask in self.edge_masks2:
+            if used & mask != mask:
+                cost += p.x_edge
+        return cost
+
+    def heuristic(self, i, used):
+        free = sum(not used & mask for mask in self.edge_masks2)
+        return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
+            self.inner1[i] - free
+        )
+
+    def finish(self, mapping, cost):
+        as_dict = {
+            self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
+        }
+        path = path_from_mapping(self.g1, self.g2, as_dict, self.params)
+        assert abs(path.total_cost - cost) < 1e-9
+        return path
+
+
+def reference_astar(ctx):
+    counter = itertools.count()
+    heap = [(ctx.heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]
+    while heap:
+        f, _, _, cost, i, used, mapping, completed = heapq.heappop(heap)
+        if completed:
+            return ctx.finish(mapping, cost)
+        if i == ctx.n1:
+            total = cost + ctx.completion_delta(used)
+            heapq.heappush(
+                heap, (total, -(i + 1), next(counter), total, i, used, mapping, True)
+            )
+            continue
+        for j in range(ctx.n2):
+            if used >> j & 1:
+                continue
+            c = cost + ctx.substitute_delta(mapping, i, j)
+            nused = used | (1 << j)
+            h = ctx.heuristic(i + 1, nused)
+            heapq.heappush(
+                heap,
+                (c + h, -(i + 1), next(counter), c, i + 1, nused, mapping + (j,), False),
+            )
+        c = cost + ctx.delete_cost[i]
+        h = ctx.heuristic(i + 1, used)
+        heapq.heappush(
+            heap,
+            (c + h, -(i + 1), next(counter), c, i + 1, used, mapping + (-1,), False),
+        )
+    raise AssertionError("search exhausted without a complete path")
+
+
+def reference_beam(ctx, width):
+    counter = itertools.count()
+    frontier = [(0.0, next(counter), 0, ())]
+    for i in range(ctx.n1):
+        heap, kept = [], []
+        for cost, _, used, mapping in frontier:
+            for j in range(ctx.n2):
+                if not used >> j & 1:
+                    heapq.heappush(heap, (
+                        cost + ctx.substitute_delta(mapping, i, j), next(counter),
+                        used | (1 << j), mapping + (j,),
+                    ))
+            heapq.heappush(
+                heap, (cost + ctx.delete_cost[i], next(counter), used, mapping + (-1,))
+            )
+            kept.append(heapq.heappop(heap))
+        while len(kept) < width and heap:
+            kept.append(heapq.heappop(heap))
+        frontier = kept
+    cost, _, mapping = min(
+        (cost + ctx.completion_delta(used), seq, mapping)
+        for cost, seq, used, mapping in frontier
+    )
+    return ctx.finish(mapping, cost)
+
+
+def mixed_graph(rng, n, p):
+    """Random graph whose node and edge labels are each a grid vector or empty."""
+    base = random_graph(n, p, seed=rng.randrange(10**9))
+    node_labels = {
+        v: rng.choice((None, (rng.randrange(3) / 2.0, rng.randrange(3) / 2.0)))
+        for v in base.vertices
+    }
+    edge_labels = {e: rng.choice((None, (rng.randrange(3) / 2.0,))) for e in base.edges}
+    return AttributedGraph(base.vertices, base.edges, node_labels, edge_labels)
+
+
+def renamed(rng, g):
+    """g with its vertices renamed to random distinct ids, stored shuffled."""
+    ids = dict(zip(g.vertices, rng.sample(range(100), g.n)))
+    order = [ids[v] for v in g.vertices]
+    rng.shuffle(order)
+    return AttributedGraph(
+        order,
+        [(ids[a], ids[b]) for a, b in g.edges],
+        {ids[v]: label for v, label in g.node_labels.items()},
+        {(ids[a], ids[b]): label for (a, b), label in g.edge_labels.items()},
+    )
+
+
+def differential_pairs(seed, count):
+    """Seeded pairs of 0-7 vertices over every label maker, mixed within a
+    pair too, with their random costs, zero weights included."""
+    rng = random.Random(seed)
+    makers = (labeled_graph, symbol_graph, random_graph_of, mixed_graph)
+    for _ in range(count):
+        g1, g2 = (
+            renamed(rng, rng.choice(makers)(rng, rng.randint(0, 7), rng.random()))
+            for _ in range(2)
+        )
+        yield g1, g2, random_params(rng)
+
+
+class TestDegreeOrderMatchesReference:
+    def test_exact_totals_under_default_costs(self):
+        tied = 0
+        for g1, g2, _ in differential_pairs(149, 150):
+            path = ged(g1, g2)
+            expected = reference_astar(ReferenceSearch(g1, g2, DEFAULT_PARAMS))
+            assert path.total_cost == expected.total_cost
+            assert path_from_mapping(g1, g2, path.mapping).total_cost == path.total_cost
+            tied += path.mapping != expected.mapping
+        # ties between optimal mappings are common on these coarse labels
+        assert tied >= 30
+
+    def test_exact_totals_under_random_costs(self):
+        # An optimum tied between two mappings is priced op by op along
+        # whichever mapping the search returns, so its float total may move
+        # in the last bit; the same mapping must give the same float.
+        zero_weights = 0
+        for g1, g2, params in differential_pairs(151, 150):
+            path = ged(g1, g2, params)
+            expected = reference_astar(ReferenceSearch(g1, g2, params))
+            repriced = path_from_mapping(g1, g2, path.mapping, params)
+            assert repriced.total_cost == path.total_cost
+            if path.mapping == expected.mapping:
+                assert path.ops == expected.ops
+                assert path.total_cost == expected.total_cost
+            else:
+                assert path.total_cost == pytest.approx(expected.total_cost, rel=1e-12)
+            zero_weights += 0.0 in (params.x_node, params.y_node, params.x_edge,
+                                    params.y_edge)
+        assert zero_weights >= 30
+
+    def test_exact_search_takes_vertices_by_degree(self):
+        for g1, g2, params in differential_pairs(151, 100):
+            ctx = _ExactContext(g1, g2, params)
+            assert sorted(ctx.u_list) == sorted(g1.vertices)
+            keys = [(-g1.degree(u), u) for u in ctx.u_list]
+            assert keys == sorted(keys)
+
+    def test_beam_keeps_stored_order_and_totals(self):
+        for g1, g2, params in differential_pairs(157, 150):
+            assert _SearchContext(g1, g2, params).u_list == g1.vertices
+            for w in (1, 3, 10):
+                path = ged(g1, g2, params, beam_width=w)
+                expected = reference_beam(ReferenceSearch(g1, g2, params), w)
+                assert path.total_cost == expected.total_cost
+                assert path.ops == expected.ops
 
 
 # -- beam search ---------------------------------------------------------

@@ -10,7 +10,6 @@ from graphmatch.graphs import (
     canonical_edge,
     component_count,
     connected_components,
-    cut_vertices,
     is_cut_vertex,
     random_graph,
     subdivide_edge,
@@ -99,21 +98,6 @@ class TestConnectivity:
     def test_path_midpoint_is_cut(self):
         g = AttributedGraph([0, 1, 2], [(0, 1), (1, 2)])
         assert is_cut_vertex(g, 1)
-
-    def test_cut_vertices_agree_with_removal_definition(self):
-        # Direct definition: v is a cut vertex iff its component splits.
-        for seed in range(40):
-            g = random_graph(12, 0.18, seed=seed)
-            expected = set()
-            for comp in connected_components(g):
-                for v in comp:
-                    rest = [u for u in comp if u != v]
-                    sub = AttributedGraph(
-                        rest, [e for e in g.edges if e[0] in rest and e[1] in rest]
-                    )
-                    if component_count(sub) > 1:
-                        expected.add(v)
-            assert cut_vertices(g) == expected
 
     def test_is_cut_vertex_matches_component_splitting(self):
         # Direct definition: v is a cut vertex iff its component splits.
