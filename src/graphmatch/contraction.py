@@ -29,7 +29,7 @@ from .editdist import (
     EditCostParams,
     EditOp,
     EditPath,
-    edit_cost,
+    _price,
     ged,
 )
 from .graphs import (
@@ -196,14 +196,15 @@ def path_contract(g: AttributedGraph) -> tuple[AttributedGraph, ContractionRepor
 
 
 def _contract_op(g: AttributedGraph, segment, params: EditCostParams) -> EditOp:
-    op = EditOp(
+    source_label, target_label = g.node_label(segment[0]), g.node_label(segment[-1])
+    return EditOp(
         kind="path_contract",
         source=segment,
         target=canonical_edge(segment[0], segment[-1]),
-        source_label=g.node_label(segment[0]),
-        target_label=g.node_label(segment[-1]),
+        source_label=source_label,
+        target_label=target_label,
+        cost=_price("path_contract", source_label, target_label, params),
     )
-    return replace(op, cost=edit_cost(op, params))
 
 
 def hged(

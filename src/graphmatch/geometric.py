@@ -39,11 +39,13 @@ nondegenerate edge of g2, in both endpoint orders, is mapped onto g1's
 longest edge, and the identity is always a candidate, so aligning never
 hurts.  All of this happens in g1's own coordinate frame, which keeps
 tolerance thresholds in input units.  Candidates are never built as graphs:
-one numpy expression places g2's coordinates for all of them, and their
-features and cost matrices are scored a fixed block of candidates per kernel
-call.  A candidate whose row/column-minimum bound already exceeds the best
-score so far (plus the tie margin) skips its assignment solve.  Scores equal
-the one-candidate-at-a-time computation bit for bit, so the same candidate
+one numpy expression places g2's coordinates for all of them, and one call
+gives all their feature rows.  One vectorized lower bound,
+``_transport_bound`` (sorted 1-D transports of angle, length and edge
+midpoint), screens every candidate before any cost matrix exists; only a
+candidate whose bound does not exceed the best score so far (plus the tie
+margin) gets its own cost matrix and assignment solve.  Scores equal the
+one-candidate-at-a-time computation bit for bit, so the same candidate
 wins.  The transform arithmetic lives in one place, ``_similarity`` (the
 parameters) and ``_placements`` (the moved coordinates), and the feature
 rows of every placement, a graph's own included, come from
@@ -124,13 +126,27 @@ def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) ->
     return weights.w2 * angle + weights.w3 * length + weights.w4 * position
 
 
-def _lsap_lower_bound(cost: np.ndarray) -> np.ndarray:
-    """max(sum of row minima, sum of column minima) of each (..., n, n) matrix.
+def _transport_bound(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
+    """A lower bound on the assignment optimum of ``_edge_cost_matrix(a, b,
+    weights)`` for the (m, 6) rows ``a`` and each (..., m, 6) row set ``b``.
 
-    Every assignment pays at least the minimum of each row and of each
-    column, so this never exceeds the LSAP optimum.
+    Per column c of theta, length, midpoint x and midpoint y, t_c sums
+    |sort(a_c) - sort(b_c)|; the bound is
+    w2 * t_theta * pi / 180 + w3 * t_length + w4 * max(t_mid_x, t_mid_y).
+    It holds because the optimum of a sum of cost matrices is at least the
+    sum of their optima, the sorted matching is optimal for the 1-D cost
+    |x - y| (Villani 2003, Topics in Optimal Transportation, ch. 2), and
+    E^P >= |midpoint difference| >= either axis of it (triangle inequality).
     """
-    return np.maximum(cost.min(axis=-1).sum(axis=-1), cost.min(axis=-2).sum(axis=-1))
+
+    def sorted_columns(rows):
+        cols = np.swapaxes(rows, -1, -2)
+        mids = (cols[..., 2:4, :] + cols[..., 4:6, :]) / 2.0
+        return np.sort(np.concatenate((cols[..., :2, :], mids), axis=-2), axis=-1)
+
+    t = np.abs(sorted_columns(a) - sorted_columns(b)).sum(axis=-1)
+    angle, length, position = t[..., 0] * math.pi / 180.0, t[..., 1], t[..., 2:].max(axis=-1)
+    return weights.w2 * angle + weights.w3 * length + weights.w4 * position
 
 
 # -- prepared rows -----------------------------------------------------------
@@ -188,8 +204,9 @@ def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.
     feats[:, :m, 1] = _hypot(dx, dy).astype(float)
     feats[:, :m, 2:4] = left
     feats[:, :m, 4:6] = right
-    means = np.array([_mean(c) for c in coords.tolist()]).reshape(-1, 1, 2)
-    feats[:, m:, 2:4] = feats[:, m:, 4:6] = means
+    # _mean of each placement: a running sum from 0.0, left to right
+    sums = np.concatenate((np.zeros((len(coords), 1, 2)), coords), axis=1).cumsum(axis=1)
+    feats[:, m:, 2:4] = feats[:, m:, 4:6] = sums[:, -1:] / max(coords.shape[1], 1)
     return feats
 
 
@@ -315,11 +332,6 @@ def pad_to_equal(
 
 # -- alignment ---------------------------------------------------------------
 
-# Alignment candidates scored per kernel call; it bounds the (block, n, n, 6)
-# difference array the kernel broadcasts.
-_ALIGN_BLOCK = 8
-
-
 def _similarity(p, q, e_ref):
     """(scale, cos, sin, fx, fy, ax, ay) of the similarity transform mapping
     segment p-q onto ``e_ref``: x goes to (ax, ay) + scale * R (x - (fx, fy)),
@@ -396,10 +408,10 @@ def graph_alignment(
     ("edm") against g1 wins.  Near-ties fall back to the position-aware
     score, then to candidate order, so the identity keeps exact ties.
 
-    Candidates are scored in blocks of _ALIGN_BLOCK through one kernel call
-    each.  A candidate whose row/column-minimum bound exceeds the best
-    primary score plus the tie margin can neither win nor tie, so its
-    assignment is never solved.
+    Candidates are visited in that order.  One whose ``_transport_bound``
+    exceeds the best primary score so far plus the tie margin can neither
+    win nor tie, so its cost matrix is never built and its assignment never
+    solved.
     """
     if variant not in ("ed", "edm"):
         raise ValueError(f"unknown alignment variant {variant!r}")
@@ -421,30 +433,29 @@ def graph_alignment(
         for e_ref in (((lx, ly), (rx, ry)), ((rx, ry), (lx, ly)))
     ]
     placements = _placements(r2.coords, moves)
+    feats = _placement_features(placements, r2.ends, slots)
+    bounds = _transport_bound(a, feats, primary_weights).tolist()
 
     # The slope angle is blind to 180-degree rotations, so a point-reflected
     # candidate ties the true inverse on ED; among near-ties the smaller
     # position-aware score picks the right witness.
-    best, best_primary, best_secondary, best_feats = 0, math.inf, math.inf, None
-    for start in range(0, len(placements), _ALIGN_BLOCK):
-        b = _placement_features(placements[start : start + _ALIGN_BLOCK], r2.ends, slots)
-        costs = _edge_cost_matrix(a, b, primary_weights)
-        for k, bound in enumerate(_lsap_lower_bound(costs)):
-            if bound > best_primary + 1e-9:
-                continue  # can neither win nor tie: skip its LSAP
-            primary = solve_lsap(costs[k]).total_cost
-            if primary > best_primary + 1e-9:
-                continue
-            secondary = primary  # "edm" has no separate tie-break score
-            if variant == "ed":
-                secondary = solve_lsap(_edge_cost_matrix(a, b[k], _EDM_WEIGHTS)).total_cost
-            if primary < best_primary - 1e-9 or secondary < best_secondary - 1e-9:
-                best, best_primary, best_secondary = start + k, primary, secondary
-                best_feats = b[k, : len(r2.edges)]
+    best, best_primary, best_secondary = 0, math.inf, math.inf
+    for k, b in enumerate(feats):
+        if bounds[k] > best_primary + 1e-9:
+            continue  # can neither win nor tie: skip its cost matrix and LSAP
+        primary = solve_lsap(_edge_cost_matrix(a, b, primary_weights)).total_cost
+        if primary > best_primary + 1e-9:
+            continue
+        secondary = primary  # "edm" has no separate tie-break score
+        if variant == "ed":
+            secondary = solve_lsap(_edge_cost_matrix(a, b, _EDM_WEIGHTS)).total_cost
+        if primary < best_primary - 1e-9 or secondary < best_secondary - 1e-9:
+            best, best_primary, best_secondary = k, primary, secondary
     if best == 0:
         return g2
     coords = placements[best]
     if isinstance(g2, GeometricRows):
+        best_feats = feats[best, : len(r2.edges)]
         return GeometricRows(coords, r2.ends, best_feats, _mean(coords.tolist()))
     return _moved(g2, coords)
 

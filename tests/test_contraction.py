@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,6 @@ from graphmatch.centrality import (
 )
 from graphmatch.contraction import (
     ContractionReport,
-    _contract_op,
     _contract_runs,
     _merged_label,
     _runs,
@@ -29,7 +29,7 @@ from graphmatch.contraction import (
     k_star_node_deletion,
     path_contract,
 )
-from graphmatch.editdist import EditCostParams, ged
+from graphmatch.editdist import EditCostParams, EditOp, edit_cost, ged
 from graphmatch.graphs import (
     AttributedGraph,
     GeometricGraph,
@@ -606,6 +606,19 @@ def reference_contract_runs(g, cases=None):
     return contracted, ContractionReport.of(g, contracted, removed), segments
 
 
+def reference_contract_op(g, segment, params):
+    """A segment's path_contract op, built unpriced and then priced by
+    ``edit_cost``."""
+    op = EditOp(
+        "path_contract",
+        segment,
+        canonical_edge(segment[0], segment[-1]),
+        g.node_label(segment[0]),
+        g.node_label(segment[-1]),
+    )
+    return replace(op, cost=edit_cost(op, params))
+
+
 def planted_graph(rng):
     """Up to 14 vertices with shuffled, non-contiguous ids, a few disjoint
     planted cycles, sparse random edges on top, vector vertex labels and
@@ -659,7 +672,7 @@ class TestPathContractMatchesReference:
     def test_hged_matches_reference(self):
         rng = random.Random(77)
         params = EditCostParams(z_path=0.5)
-        checked = contracted = 0
+        checked = contracted = priced = 0
         while checked < 200:
             g1, g2 = planted_graph(rng), planted_graph(rng)
             h1, _, segments1 = reference_contract_runs(g1)
@@ -667,7 +680,7 @@ class TestPathContractMatchesReference:
             if max(h1.n, h2.n) > 6:
                 continue
             pre = tuple(
-                _contract_op(g, seg, params)
+                reference_contract_op(g, seg, params)
                 for g, segments in ((g1, segments1), (g2, segments2))
                 for seg in segments
             )
@@ -676,7 +689,9 @@ class TestPathContractMatchesReference:
             assert path.preprocessing == pre
             checked += 1
             contracted += bool(pre)
+            priced += any(op.cost > 0.0 for op in pre)
         assert contracted >= 50
+        assert priced >= 20
 
 
 # -- contraction-based edit distance ----------------------------------------

@@ -14,9 +14,9 @@ from graphmatch.geometric import (
     DistanceWeights,
     GeometricIsomorphism,
     _edge_cost_matrix,
-    _lsap_lower_bound,
     _placement_features,
     _placements,
+    _transport_bound,
     edge_distance,
     edge_distance_metric,
     edge_features,
@@ -157,28 +157,60 @@ class TestSolveLsap:
         assert a.total_cost == pytest.approx(2.0)
 
 
-class TestAssignmentBound:
+class TestTransportBound:
     @staticmethod
-    def matrices():
-        rng = np.random.default_rng(5)
-        for n in range(1, 41):
-            yield rng.uniform(0, 10, (n, n))  # random
-            yield rng.integers(0, 3, (n, n)).astype(float)  # many ties
-            yield np.full((n, n), 0.7)  # all equal
-            yield rng.uniform(0, 1, (n, n)) ** 8  # mostly near zero
+    def row_sets():
+        """(a, b): g1's padded rows (slots, 6) and a stack (C, slots, 6) of g2's
+        placements onto g1's longest edge, g2 itself first."""
+        rng = random.Random(5)
+        for _ in range(60):
+            g1 = random_geometric(rng, rng.randint(2, 14), p=rng.uniform(0.15, 0.6))
+            g2 = random_geometric(rng, rng.randint(2, 14), p=rng.uniform(0.15, 0.6))
+            coords = dict(g2.coords)
+            for u, v in rng.sample(g2.edges, min(rng.randint(0, 2), g2.m)):
+                coords[v] = coords[u]  # zero-length edges
+            g2 = GeometricGraph(g2.vertices, g2.edges, coords, empty_edges=rng.randint(0, 3))
+            p1, p2 = pad_to_equal(g1, g2)
+            a = edge_features(p1)
+            if not len(a):
+                continue
+            ref = max(a, key=lambda f: f[1]).tolist()
+            r2 = geometric_rows(p2)
+            moves = [
+                (ends, e_ref)
+                for ends, length in zip(r2.ends.tolist(), r2.edges[:, 1].tolist())
+                if length > 0.0 and ref[1] > 0.0
+                for e_ref in ((ref[2:4], ref[4:6]), (ref[4:6], ref[2:4]))
+            ]
+            yield a, _placement_features(_placements(r2.coords, moves), r2.ends, len(a))
+        for n in (1, 4, 9):  # all-equal rows
+            row = (30.0, 1.5, 0.2, 0.1, 1.1, 0.9)
+            yield np.tile(row, (n, 1)), np.tile(row, (3, n, 1))
+
+    @staticmethod
+    def weights():
+        rng = random.Random(6)
+        yield DistanceWeights(w4=0.0)  # ED
+        yield DistanceWeights()  # EDM
+        for _ in range(6):
+            yield DistanceWeights(*(rng.choice((0.0, rng.uniform(0.0, 3.0))) for _ in range(4)))
 
     def test_never_exceeds_the_optimum(self):
-        for m in self.matrices():
-            assert _lsap_lower_bound(m) <= solve_lsap(m).total_cost + 1e-12
+        checked = 0
+        for a, b in self.row_sets():
+            for w in self.weights():
+                for bound, rows in zip(_transport_bound(a, b, w), b):
+                    assert bound <= solve_lsap(_edge_cost_matrix(a, rows, w)).total_cost + 1e-12
+                    checked += 1
+        assert checked >= 5000
 
-    def test_batch_axis_bounds_each_matrix(self):
-        rng = np.random.default_rng(7)
-        batch = rng.uniform(0, 5, (9, 12, 12))
-        bounds = _lsap_lower_bound(batch)
-        assert bounds.shape == (9,)
-        for m, bound in zip(batch, bounds):
-            assert bound == _lsap_lower_bound(m)
-            assert bound <= solve_lsap(m).total_cost + 1e-12
+    def test_batch_axis_bounds_each_candidate(self):
+        for a, b in self.row_sets():
+            for w in self.weights():
+                bounds = _transport_bound(a, b, w)
+                assert bounds.shape == (len(b),)
+                for bound, rows in zip(bounds, b):
+                    assert bound == _transport_bound(a, rows, w)
 
 
 # -- edge features -------------------------------------------------------
@@ -786,6 +818,41 @@ class TestAlignmentMatchesReference:
         want = [reference_isomorphism(g1, g2, tolerance=0.1) for g1, g2 in pairs]
         assert got == want
         assert {r.verdict for r in got} == {"isomorphic", "t_tolerant", "distance"}
+
+
+class TestAlignmentScreen:
+    """At molecule scale the transport bound keeps most candidates away from
+    the cost-matrix kernel, and the scan still picks the reference winner."""
+
+    @staticmethod
+    def molecule_pairs():
+        rng = random.Random(211)
+        for _ in range(12):
+            g1 = random_geometric(rng, rng.randint(14, 18), p=0.25, span=1.0)
+            yield g1, jittered(g1, rng, 0.05)  # same class
+            yield g1, random_geometric(rng, rng.randint(14, 18), p=0.25, span=1.0)  # cross
+
+    def test_few_candidates_reach_the_kernel(self, monkeypatch):
+        kernel = geometric._edge_cost_matrix
+        reached = []  # candidates per kernel call: the leading axes of b
+
+        def counted(a, b, weights):
+            reached.append(b[..., 0, 0].size)
+            return kernel(a, b, weights)
+
+        monkeypatch.setattr(geometric, "_edge_cost_matrix", counted)
+        candidates = 0
+        for g1, g2 in self.molecule_pairs():
+            p1, p2 = pad_to_equal(g1, g2)
+            positive = sum(p2.coords[u] != p2.coords[v] for u, v in p2.edges)
+            for variant in ("ed", "edm"):
+                got = graph_alignment(p1, p2, variant)
+                TestAlignmentMatchesReference.assert_same_graph(
+                    got, reference_alignment(p1, p2, variant)
+                )
+                candidates += 1 + 2 * positive
+        assert candidates >= 1500
+        assert 3 * sum(reached) <= candidates
 
 
 # -- isomorphism verdicts ---------------------------------------------------
