@@ -16,20 +16,19 @@ The tree search processes g1's vertices one per level; each level either
 maps the next vertex onto an unused g2 vertex or deletes it, and leftover
 g2 vertices are inserted when a leaf is reached.  Expansions read index
 tables (node costs, edge ids, edge costs, bitmasks) built once per call,
-never the graph objects.  The exact search is A* under one admissible
-bound, and it takes g1's vertices by decreasing degree (ties by id), so
-edge costs are paid early and tighten the path cost.  The bound's node
-part is label-aware: the deletions or insertions forced by the vertex
-counts, plus each other unprocessed g1 vertex at its cheapest substitution
-or deletion.  Its edge part is the gap between g1's edges inside the
-unprocessed suffix and g2's edges between unused vertices, a count each
-search node carries.  Only the exact search builds the bound tables; beam
-search keeps g1's stored vertex order.  Either search prices its result on
-the caller's graphs in their stored order.  The exact search returns an
-optimal path; when several paths tie for the optimum, which one comes back
-depends on the bound and the search order, so a tied mapping may differ
-from the one an uninformed search would return, and its total, summed op by
-op along that mapping, may differ from the other's in the last bit.
+never the graph objects.  The exact search is a depth-first branch and
+bound: it expands a node's children in order of their admissible bound
+(see ``_ExactContext``), keeps the best complete path found so far and
+skips every node whose bound reaches it, so at most n1 * (n2 + 1) nodes
+are open at once.  It takes g1's vertices by decreasing degree (ties by
+id), so edge costs are paid early and tighten the path cost.  Only the
+exact search builds the bound tables; beam search keeps g1's stored vertex
+order.  Either search prices its result on the caller's graphs in their
+stored order.  The exact search returns an optimal path; when several
+paths tie for the optimum, which one comes back depends on the bound and
+the search order, so a tied mapping may differ from the one another search
+would return, and its total, summed op by op along that mapping, may
+differ from the other's in the last bit.
 ``beam_width`` keeps only w partial paths per level, ranked on the
 path cost alone and picked so that widening the beam never drops a narrower
 beam's survivors; the result is an upper bound on the exact distance that
@@ -266,12 +265,14 @@ class _SearchContext:
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
         path = path_from_mapping(self.g1, self.g2, as_dict, self.params)
-        assert abs(path.total_cost - cost) < 1e-9, "search cost and path cost disagree"
+        # both sums add the same ops in different orders: large costs differ in ulps
+        if not math.isclose(path.total_cost, cost, rel_tol=1e-9, abs_tol=1e-9):
+            raise AssertionError(f"search cost {cost!r} and path cost {path.total_cost!r} disagree")
         return path
 
 
 class _ExactContext(_SearchContext):
-    """The search tables plus the bound tables only A* reads.
+    """The search tables plus the bound tables only the exact search reads.
 
     Positions index g1's vertices by decreasing degree, ties by id
     (``u_list``), so the search pays edge costs early.  The bound's node
@@ -343,54 +344,51 @@ def ged(
 ) -> EditPath:
     """Graph edit distance between g1 and g2.
 
-    Exact by default (optimal over every complete edit path); with
-    ``beam_width`` = w, only w partial paths survive each level and the
-    result is an upper bound that never increases as w grows.
+    Exact by default (optimal over every complete edit path, in bounded
+    memory but not bounded time); with ``beam_width`` = w, only w partial
+    paths survive each level and the result is an upper bound that never
+    increases as w grows.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1")
     if beam_width is not None:
         return _beam(_SearchContext(g1, g2, params), beam_width)
-    return _astar(_ExactContext(g1, g2, params))
+    return _branch_and_bound(_ExactContext(g1, g2, params))
 
 
-def _astar(ctx: _ExactContext) -> EditPath:
-    counter = itertools.count()
-    nbr2 = ctx.nbr2
-    free = ctx.g2.m
-    # Entries: (f, -depth, seq, cost, i, used, free, mapping, completed)
-    heap = [(ctx.heuristic(0, 0, free), 0, next(counter), 0.0, 0, 0, free, (), False)]
-    while heap:
-        f, _, _, cost, i, used, free, mapping, completed = heapq.heappop(heap)
-        if completed:
-            return ctx.finish(mapping, cost)
+def _branch_and_bound(ctx: _ExactContext) -> EditPath:
+    n2, nbr2 = ctx.n2, ctx.nbr2
+    best, best_mapping = math.inf, None
+    # Entries: (f, j, cost, i, used, free, mapping).  Siblings differ in j (a
+    # deletion counts as n2), so sorting them never compares past (f, j).
+    stack = [(ctx.heuristic(0, 0, ctx.g2.m), 0, 0.0, 0, 0, ctx.g2.m, ())]
+    while stack:
+        f, _, cost, i, used, free, mapping = stack.pop()
+        if f >= best:
+            continue
         if i == ctx.n1:
             total = cost + ctx.completion_delta(used)
-            heapq.heappush(
-                heap,
-                (total, -(i + 1), next(counter), total, i, used, free, mapping, True),
-            )
+            if total < best:
+                best, best_mapping = total, mapping
             continue
         unused = ~used
-        for j in range(ctx.n2):
+        children = []
+        for j in range(n2):
             if used >> j & 1:
                 continue
             c = cost + ctx.substitute_delta(mapping, i, j)
             nused = used | (1 << j)
             nfree = free - (nbr2[j] & unused).bit_count()
-            h = ctx.heuristic(i + 1, nused, nfree)
-            heapq.heappush(
-                heap,
-                (c + h, -(i + 1), next(counter), c, i + 1, nused, nfree,
-                 mapping + (j,), False),
-            )
+            f = c + ctx.heuristic(i + 1, nused, nfree)
+            if f < best:
+                children.append((f, j, c, i + 1, nused, nfree, mapping + (j,)))
         c = cost + ctx.delete_cost[i]
-        h = ctx.heuristic(i + 1, used, free)
-        heapq.heappush(
-            heap,
-            (c + h, -(i + 1), next(counter), c, i + 1, used, free, mapping + (-1,), False),
-        )
-    raise RuntimeError("search exhausted without a complete path")  # pragma: no cover
+        f = c + ctx.heuristic(i + 1, used, free)
+        if f < best:
+            children.append((f, n2, c, i + 1, used, free, mapping + (-1,)))
+        children.sort(reverse=True)  # pop() takes the least (f, j) first
+        stack.extend(children)
+    return ctx.finish(best_mapping, best)
 
 
 def _beam(ctx: _SearchContext, width: int) -> EditPath:

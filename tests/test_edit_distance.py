@@ -5,8 +5,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -727,6 +733,46 @@ def reference_astar(ctx):
     raise AssertionError("search exhausted without a complete path")
 
 
+def reference_degree_astar(ctx):
+    """The exact search as A* over the degree-order tables, kept verbatim."""
+    counter = itertools.count()
+    nbr2 = ctx.nbr2
+    free = ctx.g2.m
+    # Entries: (f, -depth, seq, cost, i, used, free, mapping, completed)
+    heap = [(ctx.heuristic(0, 0, free), 0, next(counter), 0.0, 0, 0, free, (), False)]
+    while heap:
+        f, _, _, cost, i, used, free, mapping, completed = heapq.heappop(heap)
+        if completed:
+            return ctx.finish(mapping, cost)
+        if i == ctx.n1:
+            total = cost + ctx.completion_delta(used)
+            heapq.heappush(
+                heap,
+                (total, -(i + 1), next(counter), total, i, used, free, mapping, True),
+            )
+            continue
+        unused = ~used
+        for j in range(ctx.n2):
+            if used >> j & 1:
+                continue
+            c = cost + ctx.substitute_delta(mapping, i, j)
+            nused = used | (1 << j)
+            nfree = free - (nbr2[j] & unused).bit_count()
+            h = ctx.heuristic(i + 1, nused, nfree)
+            heapq.heappush(
+                heap,
+                (c + h, -(i + 1), next(counter), c, i + 1, nused, nfree,
+                 mapping + (j,), False),
+            )
+        c = cost + ctx.delete_cost[i]
+        h = ctx.heuristic(i + 1, used, free)
+        heapq.heappush(
+            heap,
+            (c + h, -(i + 1), next(counter), c, i + 1, used, free, mapping + (-1,), False),
+        )
+    raise RuntimeError("search exhausted without a complete path")  # pragma: no cover
+
+
 def reference_beam(ctx, width):
     counter = itertools.count()
     frontier = [(0.0, next(counter), 0, ())]
@@ -836,6 +882,107 @@ class TestDegreeOrderMatchesReference:
                 expected = reference_beam(ReferenceSearch(g1, g2, params), w)
                 assert path.total_cost == expected.total_cost
                 assert path.ops == expected.ops
+
+
+class TestBranchAndBoundMatchesAStar:
+    """The depth-first search against the A* it replaced, on the same tables.
+
+    Both are exact, so their totals agree; an optimum tied between two
+    mappings may come back under the other one.
+    """
+
+    def test_exact_totals_under_default_costs(self):
+        tied = 0
+        for g1, g2, _ in differential_pairs(149, 150):
+            path = ged(g1, g2)
+            expected = reference_degree_astar(_ExactContext(g1, g2, DEFAULT_PARAMS))
+            assert path.total_cost == expected.total_cost
+            if path.mapping == expected.mapping:
+                assert path.ops == expected.ops
+            else:
+                tied += 1
+        # the tie branch above is exercised
+        assert tied > 0
+
+    def test_exact_totals_under_random_costs(self):
+        tied = 0
+        for g1, g2, params in differential_pairs(151, 150):
+            path = ged(g1, g2, params)
+            expected = reference_degree_astar(_ExactContext(g1, g2, params))
+            if path.mapping == expected.mapping:
+                assert path.ops == expected.ops
+                assert path.total_cost == expected.total_cost
+            else:
+                assert path.total_cost == pytest.approx(expected.total_cost, rel=1e-12)
+                tied += 1
+        assert tied > 0
+
+    def test_memory_stays_flat_on_a_ten_vertex_pair(self):
+        # A* held every open node here: a tracemalloc peak of about 8 MiB
+        g1, g2 = random_graph(10, 0.3, seed=2), random_graph(10, 0.3, seed=102)
+        tracemalloc.start()
+        try:
+            ged(g1, g2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def large_cost_pairs(seed, count):
+    """Pairs of 2-6 vertices with coordinate labels in [0, 1000]^2."""
+    rng = random.Random(seed)
+
+    def graph():
+        base = random_graph(rng.randint(2, 6), 0.5, seed=rng.randrange(10**9))
+        labels = {v: (rng.uniform(0, 1000), rng.uniform(0, 1000)) for v in base.vertices}
+        return AttributedGraph(base.vertices, base.edges, labels, base.edge_labels)
+
+    for _ in range(count):
+        yield graph(), graph()
+
+
+class TestSearchCostCheck:
+    def test_large_costs_pass_the_check(self):
+        # the search and the path sum the same ops in different orders, so
+        # these totals differ by a few ulps, more than 1e-9 in absolute terms
+        params = EditCostParams(x_node=1e6, x_edge=1e6)
+        for g1, g2 in large_cost_pairs(5, 300):
+            exact = ged(g1, g2, params)
+            assert ged(g1, g2, params, beam_width=3).total_cost >= exact.total_cost
+
+    def test_a_disagreement_raises_under_python_O(self):
+        code = textwrap.dedent("""
+            from dataclasses import replace
+            from graphmatch import editdist
+            from graphmatch.graphs import random_graph
+
+            real = editdist.path_from_mapping
+
+            def off_by_one(*args):
+                path = real(*args)
+                return replace(path, total_cost=path.total_cost + 1.0)
+
+            if __debug__:
+                raise SystemExit("asserts are on: not run under -O")
+            editdist.path_from_mapping = off_by_one
+            g1, g2 = random_graph(4, 0.5, seed=1), random_graph(5, 0.5, seed=2)
+            for width in (None, 3):
+                try:
+                    editdist.ged(g1, g2, beam_width=width)
+                except AssertionError as e:
+                    print("raised:", e)
+        """)
+        src = Path(editdist.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 2
+        assert all("search cost" in line and "disagree" in line for line in lines)
 
 
 # -- beam search ---------------------------------------------------------
