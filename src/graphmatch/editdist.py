@@ -17,14 +17,20 @@ maps the next vertex onto an unused g2 vertex or deletes it, and leftover
 g2 vertices are inserted when a leaf is reached.  Expansions read index
 tables (node costs, edge ids, edge costs, bitmasks) built once per call,
 never the graph objects.  The exact search is a depth-first branch and
-bound: it expands a node's children in order of their admissible bound
-(see ``_ExactContext``), keeps the best complete path found so far and
-skips every node whose bound reaches it, so at most n1 * (n2 + 1) nodes
-are open at once.  It takes g1's vertices by decreasing degree (ties by
-id), so edge costs are paid early and tighten the path cost.  Only the
-exact search builds the bound tables; beam search keeps g1's stored vertex
-order.  Either search prices its result on the caller's graphs in their
-stored order.  The exact search returns an optimal path; when several
+bound: it expands a node's children in order of their admissible bound,
+keeps the best complete path found so far and skips every node whose bound
+reaches it, so at most n1 * (n2 + 1) nodes are open at once.  It takes
+g1's vertices by decreasing degree (ties by id), so edge costs are paid
+early and tighten the path cost.  Only the exact search builds the bound
+tables; beam search keeps g1's stored vertex order.  Either search prices
+its result on the caller's graphs in their stored order.
+
+The bound (see ``_ExactContext``) prices each unprocessed g1 vertex at its
+cheapest fate and charges x_edge for every edge that the edge counts force
+to be deleted or inserted, counted apart among the edges inside the
+unprocessed part and among the edges crossing into it from the processed
+part: the edge-count part of the branch bounds of Blumenthal & Gamper
+(2018).  The exact search returns an optimal path; when several
 paths tie for the optimum, which one comes back depends on the bound and
 the search order, so a tied mapping may differ from the one another search
 would return, and its total, summed op by op along that mapping, may
@@ -284,11 +290,16 @@ class _ExactContext(_SearchContext):
     operations and the cheapest fate to the rest gives x_node * |a - b| plus
     the min(a, b) smallest fates: the node part of the bipartite lower bound
     (Riesen, Fankhauser & Bunke 2007), never below the plain count.  The
-    edge part needs the g1 edges with both endpoints at position >= i
-    (inner1) and the number of g2 edges with both endpoints unused, which
-    each search node carries as ``free``: mapping onto v_j removes the edges
-    from v_j to unused vertices, ``(nbr2[j] & ~used).bit_count()``, and a
-    deletion removes none.
+    edge part counts two disjoint kinds of edge that no delta has priced
+    yet.  Inner edges: the g1 edges with both endpoints at position >= i
+    (inner1) and the g2 edges with both endpoints unused, which each search
+    node carries as ``free``.  Crossing edges: the g1 edges with one
+    endpoint at position < i and the other at >= i (cross1) and the g2
+    edges with exactly one endpoint used, carried as ``cut``.  Mapping onto
+    v_j turns its edges to unused vertices, ``out = (nbr2[j] &
+    ~used).bit_count()``, from free into cut, and its edges to used vertices
+    from cut into edges between used vertices; a deletion changes neither
+    count.
     """
 
     def __init__(self, g1, g2, params):
@@ -296,8 +307,9 @@ class _ExactContext(_SearchContext):
         super().__init__(g1, g2, params, tuple(order))
         n1, n2, x = self.n1, self.n2, params.x_node
         pos1 = {u: i for i, u in enumerate(self.u_list)}
-        first = [min(pos1[a], pos1[b]) for a, b in g1.edges]
-        self.inner1 = [sum(f >= i for f in first) for i in range(n1 + 1)]
+        ends = [sorted((pos1[a], pos1[b])) for a, b in g1.edges]
+        self.inner1 = [sum(p >= i for p, _ in ends) for i in range(n1 + 1)]
+        self.cross1 = [sum(p < i <= q for p, q in ends) for i in range(n1 + 1)]
         cheapest = [min([x, *row]) for row in self.node_cost]
         self.node_bound = []
         for i in range(n1 + 1):
@@ -309,19 +321,24 @@ class _ExactContext(_SearchContext):
         pos2 = {v: j for j, v in enumerate(self.v_list)}
         self.nbr2 = [sum(1 << pos2[w] for w in g2.neighbors(v)) for v in self.v_list]
 
-    def heuristic(self, i: int, used: int, free: int) -> float:
+    def heuristic(self, i: int, used: int, free: int, cut: int) -> float:
         """Admissible bound on the cost of completing a prefix of length i
-        whose used g2 vertices leave ``free`` g2 edges between unused ones.
+        whose used g2 vertices leave ``free`` g2 edges between unused ones
+        and ``cut`` g2 edges with exactly one used endpoint.
 
         Node part: the deletions or insertions the vertex counts force, plus
         the cheapest substitution or deletion of each remaining unprocessed
         g1 vertex (see the class docstring).  Edge part: each g1 edge inside
         the unprocessed suffix is substituted onto a g2 edge between two
-        unused vertices or paid for, and vice versa; every other edge cost is
-        nonnegative.
+        unused vertices or paid for, and vice versa; each g1 edge crossing
+        from the prefix into the suffix is substituted onto a g2 edge with
+        one used endpoint or paid for, and vice versa.  The matches are one
+        to one, so at least |inner1 - free| + |cross1 - cut| edges cost
+        x_edge each; every other edge cost is nonnegative.  At i = n1 the
+        bound is the completion cost.
         """
-        return self.node_bound[i][used.bit_count()] + self.params.x_edge * abs(
-            self.inner1[i] - free
+        return self.node_bound[i][used.bit_count()] + self.params.x_edge * (
+            abs(self.inner1[i] - free) + abs(self.cross1[i] - cut)
         )
 
 
@@ -359,11 +376,11 @@ def ged(
 def _branch_and_bound(ctx: _ExactContext) -> EditPath:
     n2, nbr2 = ctx.n2, ctx.nbr2
     best, best_mapping = math.inf, None
-    # Entries: (f, j, cost, i, used, free, mapping).  Siblings differ in j (a
-    # deletion counts as n2), so sorting them never compares past (f, j).
-    stack = [(ctx.heuristic(0, 0, ctx.g2.m), 0, 0.0, 0, 0, ctx.g2.m, ())]
+    # Entries: (f, j, cost, i, used, free, cut, mapping).  Siblings differ in j
+    # (a deletion counts as n2), so sorting them never compares past (f, j).
+    stack = [(ctx.heuristic(0, 0, ctx.g2.m, 0), 0, 0.0, 0, 0, ctx.g2.m, 0, ())]
     while stack:
-        f, _, cost, i, used, free, mapping = stack.pop()
+        f, _, cost, i, used, free, cut, mapping = stack.pop()
         if f >= best:
             continue
         if i == ctx.n1:
@@ -378,14 +395,16 @@ def _branch_and_bound(ctx: _ExactContext) -> EditPath:
                 continue
             c = cost + ctx.substitute_delta(mapping, i, j)
             nused = used | (1 << j)
-            nfree = free - (nbr2[j] & unused).bit_count()
-            f = c + ctx.heuristic(i + 1, nused, nfree)
+            out = (nbr2[j] & unused).bit_count()
+            nfree = free - out
+            ncut = cut + out - (nbr2[j] & used).bit_count()
+            f = c + ctx.heuristic(i + 1, nused, nfree, ncut)
             if f < best:
-                children.append((f, j, c, i + 1, nused, nfree, mapping + (j,)))
+                children.append((f, j, c, i + 1, nused, nfree, ncut, mapping + (j,)))
         c = cost + ctx.delete_cost[i]
-        f = c + ctx.heuristic(i + 1, used, free)
+        f = c + ctx.heuristic(i + 1, used, free, cut)
         if f < best:
-            children.append((f, n2, c, i + 1, used, free, mapping + (-1,)))
+            children.append((f, n2, c, i + 1, used, free, cut, mapping + (-1,)))
         children.sort(reverse=True)  # pop() takes the least (f, j) first
         stack.extend(children)
     return ctx.finish(best_mapping, best)

@@ -256,6 +256,10 @@ def _has_alignable_edge(g) -> bool:
     return bool((r.edges[: len(r.ends), 1] > 0.0).any())
 
 
+class _NoAlignableEdge(ValueError):
+    """``graph_alignment``'s error when a side has no positive-length edge."""
+
+
 # -- elementary distances ----------------------------------------------------
 
 
@@ -417,13 +421,14 @@ def graph_alignment(
         raise ValueError(f"unknown alignment variant {variant!r}")
     r1, r2 = _rows_of(g1), _rows_of(g2)
     if not _has_alignable_edge(r1) or not _has_alignable_edge(r2):
-        raise ValueError("alignment needs a positive-length edge in both graphs")
+        raise _NoAlignableEdge("alignment needs a positive-length edge in both graphs")
     primary_weights = _EDM_WEIGHTS if variant == "edm" else _ED_WEIGHTS
     # g1's longest edge; argmax takes the first in edge order
     _, _, lx, ly, rx, ry = r1.edges[np.argmax(r1.edges[:, 1])].tolist()
-    # every candidate keeps g2's edge slots, so g1's side is padded once
-    slots = max(len(r1.edges), len(r2.edges))
-    a = _padded(r1, len(r1.coords), slots).edges
+    # every candidate keeps g2's edge slots, so g1's side is padded to them once
+    if len(r1.edges) < len(r2.edges):
+        r1 = _padded(r1, len(r1.coords), len(r2.edges))
+    a, slots = r1.edges, len(r1.edges)
 
     # candidate 0 is g2 itself, candidate i > 0 applies moves[i - 1]
     moves = [
@@ -498,12 +503,16 @@ def _pair(g1, g2, variant: str | None) -> tuple[GeometricRows, GeometricRows]:
     """The rows of g1 and g2 (graphs or rows) padded to one size, with g2
     aligned to g1 under ``variant`` ("ed" or "edm"; None for no alignment)
     when both have a positive-length edge: the one pair path of the distance
-    and the isomorphism verdict."""
+    and the isomorphism verdict.  Each side is padded and checked for such
+    an edge once; ``graph_alignment`` does the check."""
     r1, r2 = _rows_of(g1), _rows_of(g2)
     n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
     r1, r2 = _padded(r1, n, slots), _padded(r2, n, slots)
-    if variant and _has_alignable_edge(r1) and _has_alignable_edge(r2):
-        r2 = graph_alignment(r1, r2, variant)
+    if variant:
+        try:
+            r2 = graph_alignment(r1, r2, variant)
+        except _NoAlignableEdge:
+            pass  # nothing to align on: g2 stays where it is
     return r1, r2
 
 

@@ -218,7 +218,7 @@ def iam_split(folder: Path, stems: tuple[str, ...], profile: str, name: str) -> 
 
 
 def test_criterion_01_exact_ged_matches_brute_force():
-    """A* equals mapping enumeration on every unlabeled pair with <= 4 vertices."""
+    """Exact GED equals mapping enumeration on every unlabeled pair with <= 4 vertices."""
     start = time.perf_counter()
     graphs = [g for n in range(5) for g in all_graphs(n)]
     mismatches = 0

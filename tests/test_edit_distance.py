@@ -463,25 +463,29 @@ def _reference_deltas(g1, g2, params, mapping, i, j):
 
 
 def _enumerate_prefixes(ctx, check):
-    """Walk every complete mapping; call ``check(g, i, used, free, best)`` at
-    each prefix, where ``free`` is the free g2 edge count carried the way the
-    exact search carries it and ``best`` is the cheapest total among the
-    prefix's completions."""
+    """Walk every complete mapping; call ``check(g, i, used, free, cut, best)``
+    at each prefix, where ``free`` and ``cut`` are the g2 edge counts carried
+    the way the exact search carries them and ``best`` is the cheapest total
+    among the prefix's completions."""
 
-    def walk(i, used, free, mapping, g):
+    def walk(i, used, free, cut, mapping, g):
         if i == ctx.n1:
             best = g + ctx.completion_delta(used)
         else:
-            best = walk(i + 1, used, free, mapping + (-1,), g + ctx.delete_cost[i])
+            best = walk(i + 1, used, free, cut, mapping + (-1,), g + ctx.delete_cost[i])
             for j in range(ctx.n2):
                 if not used >> j & 1:
                     c = g + ctx.substitute_delta(mapping, i, j)
-                    nfree = free - (ctx.nbr2[j] & ~used).bit_count()
-                    best = min(best, walk(i + 1, used | 1 << j, nfree, mapping + (j,), c))
-        check(g, i, used, free, best)
+                    out = (ctx.nbr2[j] & ~used).bit_count()
+                    nfree = free - out
+                    ncut = cut + out - (ctx.nbr2[j] & used).bit_count()
+                    best = min(
+                        best, walk(i + 1, used | 1 << j, nfree, ncut, mapping + (j,), c)
+                    )
+        check(g, i, used, free, cut, best)
         return best
 
-    return walk(0, 0, ctx.g2.m, (), 0.0)
+    return walk(0, 0, ctx.g2.m, 0, (), 0.0)
 
 
 BOUND_PARAMS = (
@@ -498,6 +502,14 @@ def _count_table(ctx):
         [x * abs((ctx.n2 - k) - (ctx.n1 - i)) for k in range(ctx.n2 + 1)]
         for i in range(ctx.n1 + 1)
     ]
+
+
+def inner_edge_bound(ctx, i, used, free):
+    """The bound before the crossing-edge term: the node part plus x_edge per
+    inner edge the free g2 edge count cannot match."""
+    return ctx.node_bound[i][used.bit_count()] + ctx.params.x_edge * abs(
+        ctx.inner1[i] - free
+    )
 
 
 def symbol_graph(rng, n, p):
@@ -532,12 +544,13 @@ class TestSearchBound:
         rng = random.Random(107)
         checked = 0
 
-        def check(g, i, used, free, best):
+        def check(g, i, used, free, cut, best):
             nonlocal checked
             checked += 1
             unused = {v for j, v in enumerate(ctx.v_list) if not used >> j & 1}
             assert free == sum(a in unused and b in unused for a, b in ctx.g2.edges)
-            assert g + ctx.heuristic(i, used, free) <= best + 1e-9
+            assert cut == sum((a in unused) != (b in unused) for a, b in ctx.g2.edges)
+            assert g + ctx.heuristic(i, used, free, cut) <= best + 1e-9
 
         for params in BOUND_PARAMS:
             for _ in range(80):
@@ -552,6 +565,26 @@ class TestSearchBound:
             best = _enumerate_prefixes(ctx, check)
             assert best == pytest.approx(oracle_ged(g1, g2))
         assert checked > 100_000
+
+    def test_crossing_term_never_loosens_the_bound(self):
+        rng = random.Random(139)
+        checked = tighter = 0
+
+        def check(g, i, used, free, cut, best):
+            nonlocal checked, tighter
+            bound = ctx.heuristic(i, used, free, cut)
+            before = inner_edge_bound(ctx, i, used, free)
+            assert bound >= before
+            checked += 1
+            tighter += bound > before
+
+        for params in BOUND_PARAMS:
+            for _ in range(30):
+                g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
+                g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
+                ctx = _ExactContext(g1, g2, params)
+                _enumerate_prefixes(ctx, check)
+        assert 0 < tighter < checked
 
     def test_exact_matches_oracle_up_to_six_vertices(self):
         rng = random.Random(109)
@@ -568,7 +601,7 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                root = _ExactContext(g1, g2, params).heuristic(0, 0, g2.m)
+                root = _ExactContext(g1, g2, params).heuristic(0, 0, g2.m, 0)
                 exact = ged(g1, g2, params).total_cost
                 assert root <= exact + 1e-9
                 assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9
@@ -593,9 +626,9 @@ class TestSearchBound:
             g1 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
             g2 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
             ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
-            label_aware += ctx.heuristic(0, 0, g2.m)
+            label_aware += ctx.heuristic(0, 0, g2.m, 0)
             ctx.node_bound = _count_table(ctx)
-            count += ctx.heuristic(0, 0, g2.m)
+            count += ctx.heuristic(0, 0, g2.m, 0)
         assert label_aware / 40 > count / 40
 
     def test_exact_totals_equal_those_under_the_count_bound(self, monkeypatch):
@@ -734,12 +767,13 @@ def reference_astar(ctx):
 
 
 def reference_degree_astar(ctx):
-    """The exact search as A* over the degree-order tables, kept verbatim."""
+    """The exact search as A* over the degree-order tables, kept verbatim with
+    the bound it ran with (``inner_edge_bound``)."""
     counter = itertools.count()
     nbr2 = ctx.nbr2
     free = ctx.g2.m
     # Entries: (f, -depth, seq, cost, i, used, free, mapping, completed)
-    heap = [(ctx.heuristic(0, 0, free), 0, next(counter), 0.0, 0, 0, free, (), False)]
+    heap = [(inner_edge_bound(ctx, 0, 0, free), 0, next(counter), 0.0, 0, 0, free, (), False)]
     while heap:
         f, _, _, cost, i, used, free, mapping, completed = heapq.heappop(heap)
         if completed:
@@ -758,14 +792,14 @@ def reference_degree_astar(ctx):
             c = cost + ctx.substitute_delta(mapping, i, j)
             nused = used | (1 << j)
             nfree = free - (nbr2[j] & unused).bit_count()
-            h = ctx.heuristic(i + 1, nused, nfree)
+            h = inner_edge_bound(ctx, i + 1, nused, nfree)
             heapq.heappush(
                 heap,
                 (c + h, -(i + 1), next(counter), c, i + 1, nused, nfree,
                  mapping + (j,), False),
             )
         c = cost + ctx.delete_cost[i]
-        h = ctx.heuristic(i + 1, used, free)
+        h = inner_edge_bound(ctx, i + 1, used, free)
         heapq.heappush(
             heap,
             (c + h, -(i + 1), next(counter), c, i + 1, used, free, mapping + (-1,), False),

@@ -1051,6 +1051,17 @@ class TestGeometricGraphDistance:
         assert aligned == pytest.approx(0.0, abs=1e-7)
         assert aligned < unaligned
 
+    def test_alignment_skipped_without_a_positive_length_edge(self):
+        point = GeometricGraph([0, 1], [(0, 1)], coords={0: (2.0, 2.0), 1: (2.0, 2.0)})
+        edgeless = GeometricGraph([0], coords={0: (3.0, 4.0)})
+        for other in (point, edgeless):
+            for g1, g2 in ((square(), other), (other, square()), (other, other)):
+                aligned = geometric_graph_distance(g1, g2, align=True)
+                assert aligned == geometric_graph_distance(g1, g2)
+                assert geometric_graph_isomorphism(g1, g2).distance == pytest.approx(
+                    geometric_graph_distance(g1, g2, DistanceWeights(w4=0.0))
+                )
+
     def test_requires_coordinates(self):
         plain = AttributedGraph([0, 1], [(0, 1)])
         for g1, g2 in ((plain, square()), (square(), plain), (plain, plain)):
