@@ -285,11 +285,10 @@ def _vote(distances, train, k: int) -> str | None:
 
 
 def _audit_predictions(rows, train, k, predictions):
-    # independent re-check straight from the distance matrix
+    # independent re-check from the distance rows; ties rank by train index
     for row, predicted in zip(rows, predictions):
-        pairs = [(d, train.instances[i].class_label) for i, d in enumerate(row) if d is not None]
-        pairs.sort()
-        head = pairs[:k]
+        ranked = sorted((d, i) for i, d in enumerate(row) if d is not None)
+        head = [(d, train.instances[i].class_label) for d, i in ranked[:k]]
         if not head:
             recheck = None
         else:
@@ -311,7 +310,6 @@ def knn_classify(
     k: int,
     *,
     jobs: int = 1,
-    audit: bool = False,
 ) -> BenchResult:
     """Classify each test instance by majority vote of its k nearest
     training instances under the matcher's distance.
@@ -325,7 +323,9 @@ def knn_classify(
     classified from whatever distances remain (none at all counts as a
     miss).  ``jobs`` > 1 spreads test rows over processes, each of which
     receives the matcher and the prepared training graphs once; timing stays
-    per-pair wall clock of the pair step either way.
+    per-pair wall clock of the pair step either way.  Every prediction is
+    re-checked from the distance rows (``_audit_predictions``); a mismatch
+    raises RuntimeError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -348,8 +348,7 @@ def knn_classify(
     times = [t for r in results for t in r[1]]
     failures = tuple(f for r in results for f in r[2])
     predictions = [_vote(row, train, k) for row in rows]
-    if audit:
-        _audit_predictions(rows, train, k, predictions)
+    _audit_predictions(rows, train, k, predictions)
 
     per_class_total = Counter(inst.class_label for inst in test.instances)
     per_class_hit: Counter[str] = Counter()

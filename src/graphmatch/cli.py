@@ -100,9 +100,7 @@ def _cmd_classify(args) -> int:
     matcher = MatcherSpec(args.method, _float_fields(args.cost, "--cost", DEFAULT_PARAMS))
     train = _load_split(args.train, args.data, args.profile, "train")
     test = _load_split(args.test, args.data, args.profile, "test")
-    result = knn_classify(
-        train, test, matcher, args.knn, jobs=args.jobs, audit=args.audit
-    )
+    result = knn_classify(train, test, matcher, args.knn, jobs=args.jobs)
     if result.failures and result.pair_count == 0:
         raise ValueError(f"every pair failed: {result.failures[0]}")
     classes = sorted(result.per_class_accuracy)
@@ -276,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knn", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--audit", action="store_true", help="re-check predictions")
     p.add_argument("--cost", help="x_node,y_node,x_edge,y_edge,z_path")
     p.set_defaults(run=_cmd_classify)
 

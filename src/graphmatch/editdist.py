@@ -30,11 +30,12 @@ cheapest fate and charges x_edge for every edge that the edge counts force
 to be deleted or inserted, counted apart among the edges inside the
 unprocessed part and among the edges crossing into it from the processed
 part: the edge-count part of the branch bounds of Blumenthal & Gamper
-(2018).  The exact search returns an optimal path; when several
-paths tie for the optimum, which one comes back depends on the bound and
-the search order, so a tied mapping may differ from the one another search
-would return, and its total, summed op by op along that mapping, may
-differ from the other's in the last bit.
+(2018).  At a leaf the bound is the completion cost, so the search prices
+a complete mapping once, by the bound it was pushed with.  The exact search
+returns an optimal path; when several paths tie for the optimum, which one
+comes back depends on the bound and the search order, so a tied mapping may
+differ from the one another search would return, and its total, summed op
+by op along that mapping, may differ from the other's in the last bit.
 ``beam_width`` keeps only w partial paths per level, ranked on the
 path cost alone and picked so that widening the beam never drops a narrower
 beam's survivors; the result is an upper bound on the exact distance that
@@ -378,15 +379,14 @@ def _branch_and_bound(ctx: _ExactContext) -> EditPath:
     best, best_mapping = math.inf, None
     # Entries: (f, j, cost, i, used, free, cut, mapping).  Siblings differ in j
     # (a deletion counts as n2), so sorting them never compares past (f, j).
+    # A leaf's bound is its completion cost, so a leaf's f is its total.
     stack = [(ctx.heuristic(0, 0, ctx.g2.m, 0), 0, 0.0, 0, 0, ctx.g2.m, 0, ())]
     while stack:
         f, _, cost, i, used, free, cut, mapping = stack.pop()
         if f >= best:
             continue
         if i == ctx.n1:
-            total = cost + ctx.completion_delta(used)
-            if total < best:
-                best, best_mapping = total, mapping
+            best, best_mapping = f, mapping
             continue
         unused = ~used
         children = []

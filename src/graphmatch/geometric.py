@@ -27,11 +27,12 @@ Every mean is summed left to right in vertex order (``_mean``).
 The weighted distance and the isomorphism verdict share one pair path on
 rows (``_pair``): each graph's ``GeometricRows`` (coordinates, edge endpoint
 indices, feature rows, mean), which ``geometric_rows`` extracts once per
-graph, padded to one size by ``_padded`` exactly as ``pad_to_equal`` pads
-the graphs, then g2's rows aligned to g1's when asked.  Graphs appear only at
-the API edge: the distance and the alignment accept rows in place of graphs,
-so a graph matched many times is prepared once, aligned or not, and the
-verdict's endpoint and tolerance checks read the rows too.
+graph, padded to one size by ``_padded``, then g2's rows aligned to g1's
+when asked.  Graphs appear only at the API edge: ``pad_to_equal`` pads rows
+too and, like a transform or an alignment, rebuilds the graphs it changed
+with ``_moved``; the distance and the alignment accept rows in place of
+graphs, so a graph matched many times is prepared once, aligned or not, and
+the verdict's endpoint and tolerance checks read the rows too.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -233,9 +234,9 @@ def edge_features(g: GeometricGraph) -> np.ndarray:
 
 
 def _padded(r: GeometricRows, n: int, slots: int) -> GeometricRows:
-    """r padded to n vertices and ``slots`` edge slots as ``pad_to_equal``
-    pads its graph: new vertices at r's mean, every empty slot at the padded
-    mean.  r itself when it has that size already."""
+    """r padded to n vertices and ``slots`` edge slots, for ``_pair`` and so
+    for ``pad_to_equal``: new vertices at r's mean, every empty slot at the
+    padded mean.  r itself when it has that size already."""
     coords, feats, mean = r.coords, r.edges, r.mean
     if n == len(coords) and slots == len(feats):
         return r
@@ -315,23 +316,15 @@ def pad_to_equal(
 
     The smaller vertex set receives fresh vertices at the mean coordinate of
     its own existing vertices (the origin for an empty graph); the smaller
-    edge list receives empty feature slots.
+    edge list receives empty feature slots (``_pair``'s padding, on graphs).
+    A graph already at both sizes comes back as itself.
     """
-
-    def pad(g: GeometricGraph, n: int, slots: int) -> GeometricGraph:
-        if g.n == n and g.m + g.empty_edges == slots:
-            return g
-        start = max(g.vertices, default=-1) + 1
-        new = range(start, start + n - g.n)
-        coords = {**g.coords, **dict.fromkeys(new, g.mean_coord())}
-        return GeometricGraph(
-            g.vertices + tuple(new), g.edges, coords, g.node_labels, g.edge_labels,
-            empty_edges=slots - g.m,
-        )
-
-    n_target = max(g1.n, g2.n)
-    f_target = max(g1.m + g1.empty_edges, g2.m + g2.empty_edges)
-    return pad(g1, n_target, f_target), pad(g2, n_target, f_target)
+    rows = geometric_rows(g1), geometric_rows(g2)
+    g1, g2 = (
+        g if p is r else _moved(g, p.coords, len(p.edges))
+        for g, r, p in zip((g1, g2), rows, _pair(*rows, None))
+    )
+    return g1, g2
 
 
 # -- alignment ---------------------------------------------------------------
@@ -366,15 +359,15 @@ def _placements(coords: np.ndarray, moves) -> np.ndarray:
     return np.concatenate((coords[None], np.stack(moved, -1)))
 
 
-def _moved(g: GeometricGraph, coords: np.ndarray) -> GeometricGraph:
-    """g with its coordinates replaced by the (n, 2) ``coords``."""
+def _moved(g: GeometricGraph, coords: np.ndarray, slots: int) -> GeometricGraph:
+    """g on the (n, 2) ``coords`` in vertex order, n >= g.n, with ``slots``
+    edge slots: the vertices past g's own take the next free ids and empty
+    labels."""
+    start = max(g.vertices, default=-1) + 1
+    vertices = g.vertices + tuple(range(start, start + len(coords) - g.n))
     return GeometricGraph(
-        g.vertices,
-        g.edges,
-        dict(zip(g.vertices, coords.tolist())),
-        dict(g.node_labels),
-        dict(g.edge_labels),
-        empty_edges=g.empty_edges,
+        vertices, g.edges, dict(zip(vertices, coords.tolist())), g.node_labels,
+        g.edge_labels, empty_edges=slots - g.m,
     )
 
 
@@ -395,7 +388,7 @@ def geometric_transform(
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u}, {v})")
     move = ((g.vertices.index(u), g.vertices.index(v)), e_ref)
-    return _moved(g, _placements(_coord_array(g), [move])[1])
+    return _moved(g, _placements(_coord_array(g), [move])[1], g.m + g.empty_edges)
 
 
 def graph_alignment(
@@ -462,7 +455,7 @@ def graph_alignment(
     if isinstance(g2, GeometricRows):
         best_feats = feats[best, : len(r2.edges)]
         return GeometricRows(coords, r2.ends, best_feats, _mean(coords.tolist()))
-    return _moved(g2, coords)
+    return _moved(g2, coords, len(r2.edges))
 
 
 # -- verdicts and weighted distance ------------------------------------------

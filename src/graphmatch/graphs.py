@@ -43,6 +43,12 @@ def _check_label_family(labels, what: str) -> None:
         raise ValueError(f"inconsistent {what} label dimensions: {sorted(dims)}")
 
 
+def _check_keys(values: Mapping, vertex_set: set, what: str) -> None:
+    unknown = [v for v in values if v not in vertex_set]
+    if unknown:
+        raise ValueError(f"{what} for unknown vertices {unknown!r}")
+
+
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -76,6 +82,7 @@ class AttributedGraph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
 
         node_labels = node_labels or {}
+        _check_keys(node_labels, vertex_set, "label")
         self.node_labels: dict[int, object] = {
             v: _normalize_label(node_labels.get(v)) for v in self.vertices
         }
@@ -180,6 +187,7 @@ class GeometricGraph(AttributedGraph):
     ):
         super().__init__(vertices, edges, node_labels, edge_labels)
         coords = coords or {}
+        _check_keys(coords, set(self.vertices), "coordinate")
         self.coords: dict[int, tuple[float, float]] = {}
         for v in self.vertices:
             if v not in coords:

@@ -185,7 +185,7 @@ class TestKnnClassify:
         corpus = synthesize_corpus(classes=3, per_class=3, sigma=0.05, seed=17)
         test = DatasetSplit("test", corpus.instances)
         for method in ("ged", "geometric(1,1,1,1)", "kstar-ged(1)"):
-            result = knn_classify(corpus, test, MatcherSpec(method), 1, audit=True)
+            result = knn_classify(corpus, test, MatcherSpec(method), 1)
             assert result.mean_accuracy == 100.0
             assert set(result.per_class_accuracy.values()) == {100.0}
 
@@ -228,6 +228,25 @@ class TestKnnClassify:
         )
         test = split_of("test", point_instance(0.0, "a", "t"))
         result = knn_classify(train, test, MatcherSpec("geometric(1,1,1,1)"), 2)
+        assert result.mean_accuracy == 100.0
+
+    def test_every_prediction_is_audited(self, monkeypatch):
+        corpus = synthesize_corpus(classes=2, per_class=2, sigma=0.05, seed=17)
+        test = DatasetSplit("test", corpus.instances)
+        monkeypatch.setattr(bench, "_vote", lambda row, train, k: "no such class")
+        with pytest.raises(RuntimeError, match="audit mismatch"):
+            knn_classify(corpus, test, MatcherSpec("geometric(1,1,1,1)"), 1)
+
+    def test_equal_distances_rank_by_train_index(self):
+        # both train points lie at distance 1; at k = 1 the vote and its audit
+        # both take the first by index, not the first class by name
+        train = split_of(
+            "train",
+            point_instance(1.0, "b", "b1"),
+            point_instance(-1.0, "a", "a1"),
+        )
+        test = split_of("test", point_instance(0.0, "b", "t"))
+        result = knn_classify(train, test, MatcherSpec("geometric(1,1,1,1)"), 1)
         assert result.mean_accuracy == 100.0
 
     def test_k_beyond_train_size(self):

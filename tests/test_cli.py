@@ -97,7 +97,6 @@ class TestClassify:
             "--profile", "letter",
             "--method", "geometric(1,1,1,1)",
             "--knn", 1,
-            "--audit",
             "--out", out,
         )
         assert code == 0

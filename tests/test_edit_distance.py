@@ -550,7 +550,13 @@ class TestSearchBound:
             unused = {v for j, v in enumerate(ctx.v_list) if not used >> j & 1}
             assert free == sum(a in unused and b in unused for a, b in ctx.g2.edges)
             assert cut == sum((a in unused) != (b in unused) for a, b in ctx.g2.edges)
-            assert g + ctx.heuristic(i, used, free, cut) <= best + 1e-9
+            bound = ctx.heuristic(i, used, free, cut)
+            assert g + bound <= best + 1e-9
+            if i == ctx.n1:  # a leaf's bound is its completion cost
+                if ctx.params == DEFAULT_PARAMS:
+                    assert bound == ctx.completion_delta(used)
+                else:
+                    assert bound == pytest.approx(ctx.completion_delta(used), rel=1e-12)
 
         for params in BOUND_PARAMS:
             for _ in range(80):

@@ -14,6 +14,7 @@ from graphmatch.geometric import (
     DistanceWeights,
     GeometricIsomorphism,
     _edge_cost_matrix,
+    _pair,
     _placement_features,
     _placements,
     _transport_bound,
@@ -460,6 +461,62 @@ class TestPadToEqual:
         assert p2.m == 1 and p2.empty_edges == 3
         assert p2.n == 4
         assert len(edge_features(p2)) == 4
+
+    @staticmethod
+    def labeled_pairs():
+        """Seeded pairs of graphs with vector node labels, symbol edge labels
+        and explicit empty slots, sizes 0-6."""
+        rng = random.Random(211)
+        for _ in range(60):
+            g1, g2 = (random_geometric(rng, rng.randint(0, 6)) for _ in range(2))
+            yield tuple(
+                GeometricGraph(
+                    g.vertices,
+                    g.edges,
+                    g.coords,
+                    node_labels={v: g.coords[v] for v in g.vertices if rng.random() < 0.7},
+                    edge_labels={e: rng.choice("ab") for e in g.edges},
+                    empty_edges=rng.randint(0, 3),
+                )
+                for g in (g1, g2)
+            )
+
+    def test_graphs_pad_as_their_rows_pad(self):
+        for g1, g2 in self.labeled_pairs():
+            padded = pad_to_equal(g1, g2)
+            for k, r in enumerate(_pair(g1, g2, None)):
+                got = geometric_rows(padded[k])
+                assert got.coords.tolist() == r.coords.tolist()
+                assert got.edges.tolist() == r.edges.tolist()
+                assert got.mean == r.mean
+
+    def test_matches_graph_padding_reference(self):
+        def reference_pad(g, n, slots):
+            # padding on the graph itself, kept as the reference
+            if g.n == n and g.m + g.empty_edges == slots:
+                return g
+            start = max(g.vertices, default=-1) + 1
+            new = range(start, start + n - g.n)
+            coords = {**g.coords, **dict.fromkeys(new, g.mean_coord())}
+            return GeometricGraph(
+                g.vertices + tuple(new), g.edges, coords, g.node_labels, g.edge_labels,
+                empty_edges=slots - g.m,
+            )
+
+        grown = 0
+        for g1, g2 in self.labeled_pairs():
+            n = max(g1.n, g2.n)
+            slots = max(g1.m + g1.empty_edges, g2.m + g2.empty_edges)
+            for got, g in zip(pad_to_equal(g1, g2), (g1, g2)):
+                want = reference_pad(g, n, slots)
+                assert (got is g) == (want is g)
+                grown += got.n > g.n
+                assert got.vertices == want.vertices and got.edges == want.edges
+                assert got.coords == want.coords
+                assert got.node_labels == want.node_labels
+                assert got.edge_labels == want.edge_labels
+                assert got.empty_edges == want.empty_edges
+        assert grown > 20
 
     def test_vertex_and_feature_counts_always_equalized(self):
         rng = random.Random(53)

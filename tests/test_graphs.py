@@ -67,6 +67,22 @@ class TestConstruction:
         assert g.edges == ((1, 3), (2, 3))
         assert g.has_edge(1, 3) and g.has_edge(3, 1)
 
+    def test_rejects_label_for_unknown_vertex(self):
+        # string keys name no vertex: the ids are ints
+        with pytest.raises(ValueError, match="unknown vertices"):
+            AttributedGraph(["0", "1"], node_labels={"0": "a"})
+        with pytest.raises(ValueError, match="unknown vertices"):
+            GeometricGraph([0], coords={0: (0.0, 0.0)}, node_labels={1: "a"})
+        # mixed-type keys in the message are never sorted
+        with pytest.raises(ValueError, match=r"\['x', 2\]"):
+            AttributedGraph([0], node_labels={"x": "a", 0: "b", 2: "c"})
+
+    def test_rejects_coordinate_for_unknown_vertex(self):
+        with pytest.raises(ValueError, match="unknown vertices"):
+            GeometricGraph([0], coords={0: (0.0, 0.0), 1: (1.0, 1.0)})
+        with pytest.raises(ValueError, match="unknown vertices"):
+            GeometricGraph(["0"], coords={"0": (0.0, 0.0)})
+
     def test_geometric_requires_total_finite_coords(self):
         with pytest.raises(ValueError, match="no coordinate"):
             GeometricGraph([0, 1], [], coords={0: (0.0, 0.0)})
