@@ -278,7 +278,7 @@ def _vote(distances, train, k: int) -> str | None:
     if len(tied) == 1:
         return tied[0]
     sums = {
-        c: sum(d for d, i in ranked if train.instances[i].class_label == c)
+        c: math.fsum(d for d, i in ranked if train.instances[i].class_label == c)
         for c in tied
     }
     return min(tied, key=lambda c: (sums[c], c))
@@ -295,7 +295,7 @@ def _audit_predictions(rows, train, k, predictions):
             counts = Counter(label for _, label in head)
             recheck = min(
                 counts,
-                key=lambda c: (-counts[c], sum(d for d, l in head if l == c), c),
+                key=lambda c: (-counts[c], math.fsum(d for d, l in head if l == c), c),
             )
         if recheck != predicted:
             raise RuntimeError(
@@ -419,7 +419,7 @@ def benchmark(pairs, matcher: MatcherSpec, repetitions: int = 3) -> TimingSummar
 
 
 def _normalized(values) -> DistanceWeights:
-    total = sum(values)
+    total = math.fsum(values)
     if total <= 0:
         raise ValueError("weights must have a positive sum")
     return DistanceWeights(*(v / total for v in values))

@@ -85,7 +85,7 @@ def _eigenvector_scores(g: AttributedGraph) -> dict[int, float]:
     for comp in connected_components(g):
         x = {v: 1.0 for v in comp}
         for _ in range(100000):
-            y = {v: x[v] + sum(x[w] for w in g.neighbors(v)) for v in comp}
+            y = {v: x[v] + math.fsum(x[w] for w in g.neighbors(v)) for v in comp}
             top = max(y.values())
             y = {v: y[v] / top for v in comp}
             done = max(abs(y[v] - x[v]) for v in comp) < 1e-8
@@ -107,9 +107,9 @@ def _pagerank_scores(g: AttributedGraph) -> dict[int, float]:
     alpha = 0.9
     start = 1.0 / n
     base = (1.0 - alpha) / n
-    dangling = sum(start / n for v in g.vertices if g.degree(v) == 0)
+    dangling = math.fsum(start / n for v in g.vertices if g.degree(v) == 0)
     return {
-        v: base + alpha * (dangling + sum(start / g.degree(w) for w in g.neighbors(v)))
+        v: base + alpha * (dangling + math.fsum(start / g.degree(w) for w in g.neighbors(v)))
         for v in g.vertices
     }
 

@@ -84,6 +84,14 @@ class DatasetSplit:
 
 
 def _decode_value(el: ET.Element):
+    """An attr's value: a scalar or a tup of scalars.  No profile reads a
+    nested tup, so a tup inside a tup is an error, not a recursion."""
+    if el.tag.lower() == "tup":
+        return tuple(_decode_scalar(child) for child in el)
+    return _decode_scalar(el)
+
+
+def _decode_scalar(el: ET.Element):
     tag = el.tag.lower()
     text = (el.text or "").strip()
     try:
@@ -98,7 +106,7 @@ def _decode_value(el: ET.Element):
     if tag == "bool":
         return text.lower() == "true"
     if tag == "tup":
-        return tuple(_decode_value(child) for child in el)
+        raise GxlParseError("nested tup values are not supported")
     raise GxlParseError(f"unsupported attr value type {el.tag!r}")
 
 

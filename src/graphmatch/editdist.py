@@ -32,10 +32,10 @@ unprocessed part and among the edges crossing into it from the processed
 part: the edge-count part of the branch bounds of Blumenthal & Gamper
 (2018).  At a leaf the bound is the completion cost, so the search prices
 a complete mapping once, by the bound it was pushed with.  The exact search
-returns an optimal path; when several paths tie for the optimum, which one
-comes back depends on the bound and the search order, so a tied mapping may
-differ from the one another search would return, and its total, summed op
-by op along that mapping, may differ from the other's in the last bit.
+returns an optimal path; which of several tied optima comes back depends on
+the bound and the search order.  A path's total is the correctly rounded sum
+of its op costs (``math.fsum``), independent of op order and Python version,
+so two mappings whose op costs have the same exact sum get the same float.
 ``beam_width`` keeps only w partial paths per level, ranked on the
 path cost alone and picked so that widening the beam never drops a narrower
 beam's survivors; the result is an upper bound on the exact distance that
@@ -116,11 +116,6 @@ def _price(kind: str, source_label, target_label, params: EditCostParams) -> flo
     raise ValueError(f"unknown edit op kind {kind!r}")
 
 
-def edit_cost(op: EditOp, params: EditCostParams = DEFAULT_PARAMS) -> float:
-    """Cost of one edit operation under ``params``."""
-    return _price(op.kind, op.source_label, op.target_label, params)
-
-
 @dataclass(frozen=True)
 class EditPath:
     """A complete edit path: node/edge operations and their total cost.
@@ -189,7 +184,7 @@ def path_from_mapping(
         if f not in image_edges:
             add("edge_ins", target=f, target_label=label)
 
-    return EditPath(tuple(ops), sum((op.cost for op in ops), 0.0))
+    return EditPath(tuple(ops), math.fsum(op.cost for op in ops))
 
 
 # -- exact and beam search ---------------------------------------------------
@@ -272,7 +267,8 @@ class _SearchContext:
             self.u_list[i]: self.v_list[j] for i, j in enumerate(mapping) if j >= 0
         }
         path = path_from_mapping(self.g1, self.g2, as_dict, self.params)
-        # both sums add the same ops in different orders: large costs differ in ulps
+        # the search rounds after each delta, in search order; the path's
+        # fsum rounds once, so the two may differ in the last bits
         if not math.isclose(path.total_cost, cost, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(f"search cost {cost!r} and path cost {path.total_cost!r} disagree")
         return path

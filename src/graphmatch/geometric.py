@@ -539,7 +539,7 @@ def geometric_graph_isomorphism(
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
         tie_broken = solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, _EDM_WEIGHTS))
-        retry_cost = sum(ed_costs[i, j] for i, j in tie_broken.pairs)
+        retry_cost = math.fsum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(
                 r1, r2, vassign.pairs, tie_broken.pairs

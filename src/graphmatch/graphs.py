@@ -158,8 +158,8 @@ class AttributedGraph:
 
 def _mean(points) -> tuple[float, float]:
     """Mean of a list of (x, y) points, the origin for none: the one mean of
-    plane graphs and their geometric rows, summed left to right because
-    ``sum`` over floats is compensated on Python 3.12+."""
+    plane graphs and their geometric rows.  Summed left to right, not by fsum,
+    because ``geometric._placement_features`` repeats it with a numpy cumsum."""
     sx = sy = 0.0
     for x, y in points:
         sx += x
@@ -200,11 +200,6 @@ class GeometricGraph(AttributedGraph):
         if empty_edges < 0:
             raise ValueError("empty_edges must be >= 0")
         self.empty_edges = int(empty_edges)
-
-    def mean_coord(self) -> tuple[float, float]:
-        """Mean coordinate of the existing vertices (``_mean``); origin for
-        empty graphs."""
-        return _mean([self.coords[v] for v in self.vertices])
 
     def _rebuild(self, vertices, edges, edge_labels):
         return GeometricGraph(

@@ -356,8 +356,11 @@ class TestContract:
             "<tup><tup><float>1.0</float></tup></tup></attr></node></graph></gxl>",
             f'<gxl><graph><node id="_0"><attr name="x"><int>{"9" * 400}</int></attr>'
             '<attr name="y"><float>0.0</float></attr></node></graph></gxl>',
+            '<gxl><graph><node id="_0"><attr name="label">'
+            + "<tup>" * 3000 + "<float>1.0</float>" + "</tup>" * 3000
+            + "</attr></node></graph></gxl>",
         ],
-        ids=["unknown-encoding", "nested-tup-label", "int-beyond-float"],
+        ids=["unknown-encoding", "nested-tup-label", "int-beyond-float", "deep-tup-label"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, doc):
         src = tmp_path / "bad.gxl"

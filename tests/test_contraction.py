@@ -29,7 +29,7 @@ from graphmatch.contraction import (
     k_star_node_deletion,
     path_contract,
 )
-from graphmatch.editdist import EditCostParams, EditOp, edit_cost, ged
+from graphmatch.editdist import EditCostParams, EditOp, _price, ged
 from graphmatch.graphs import (
     AttributedGraph,
     GeometricGraph,
@@ -608,7 +608,7 @@ def reference_contract_runs(g, cases=None):
 
 def reference_contract_op(g, segment, params):
     """A segment's path_contract op, built unpriced and then priced by
-    ``edit_cost``."""
+    ``_price``."""
     op = EditOp(
         "path_contract",
         segment,
@@ -616,7 +616,7 @@ def reference_contract_op(g, segment, params):
         g.node_label(segment[0]),
         g.node_label(segment[-1]),
     )
-    return replace(op, cost=edit_cost(op, params))
+    return replace(op, cost=_price(op.kind, op.source_label, op.target_label, params))
 
 
 def planted_graph(rng):

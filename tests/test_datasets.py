@@ -12,6 +12,7 @@ from graphmatch.datasets import (
     GxlParseError,
     LabeledInstance,
     MissingCoordinateError,
+    PROFILES,
     load_dataset,
     parse_gxl,
     synthesize_corpus,
@@ -33,22 +34,27 @@ LETTER_SAMPLE = """
 """
 
 HUGE_INT = "<int>" + "9" * 400 + "</int>"  # parses as an int, too large for a float
+# nested deeper than Python's default recursion limit
+DEEP_TUP = "<tup>" * 3000 + "<float>1.0</float>" + "</tup>" * 3000
+
+
+def with_label(value):
+    return LETTER_SAMPLE.replace("</node>", f'<attr name="label">{value}</attr></node>', 1)
+
 
 # Documents that must fail under every profile, each as a GxlParseError.
 MALFORMED = {
     "bad-encoding.gxl": '<?xml version="1.0" encoding="no-such-codec"?>' + LETTER_SAMPLE,
     "huge-x.gxl": LETTER_SAMPLE.replace("<float>1.0</float>", HUGE_INT, 1),
+    # every profile decodes every node attr, and no attr may nest a tup
+    "nested-tup.gxl": with_label("<tup><tup><float>1.0</float></tup></tup>"),
+    "deep-tup.gxl": with_label(DEEP_TUP),
 }
 
 # Documents whose labels are malformed: they fail under the generic profile,
 # which reads labels.
 MALFORMED_LABELS = {
-    "nested-tup.gxl": LETTER_SAMPLE.replace(
-        "</node>", '<attr name="label"><tup><tup><float>1.0</float></tup></tup></attr></node>', 1
-    ),
-    "huge-label.gxl": LETTER_SAMPLE.replace(
-        "</node>", f'<attr name="label">{HUGE_INT}</attr></node>', 1
-    ),
+    "huge-label.gxl": with_label(HUGE_INT),
 }
 
 
@@ -131,6 +137,7 @@ class TestParseGxl:
     def test_malformed_values_raise_parse_error(self):
         for profile, docs in (
             ("letter", MALFORMED),
+            ("molecule", MALFORMED),
             ("generic", {**MALFORMED, **MALFORMED_LABELS}),
         ):
             for doc in docs.values():
@@ -286,7 +293,7 @@ class TestLoadDataset:
         assert all(isinstance(i.graph, GeometricGraph) for i in split.instances)
 
     def test_per_file_failures_recorded_and_skipped(self, tmp_path):
-        for profile in ("letter", "generic"):
+        for profile in PROFILES:
             bad = {"broken.gxl": "<gxl><graph>", "missing.gxl": None, **MALFORMED}
             if profile == "generic":
                 bad.update(MALFORMED_LABELS)

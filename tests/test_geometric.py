@@ -32,7 +32,7 @@ from graphmatch.geometric import (
     solve_lsap,
     vertex_distance,
 )
-from graphmatch.graphs import AttributedGraph, GeometricGraph, canonical_edge, random_graph
+from graphmatch.graphs import AttributedGraph, GeometricGraph, _mean, canonical_edge, random_graph
 
 
 # -- oracles and generators ---------------------------------------------------
@@ -271,7 +271,7 @@ class TestEdgeFeature:
             assert feats.shape == (g.m + extra, 6)
             for row, (u, v) in zip(feats, g.edges):
                 assert (row == segment_row(g.coords[u], g.coords[v])).all()
-            mx, my = g.mean_coord()
+            mx, my = _mean([g.coords[v] for v in g.vertices])
             assert (feats[g.m :] == (0.0, 0.0, mx, my, mx, my)).all()
 
 
@@ -497,7 +497,8 @@ class TestPadToEqual:
                 return g
             start = max(g.vertices, default=-1) + 1
             new = range(start, start + n - g.n)
-            coords = {**g.coords, **dict.fromkeys(new, g.mean_coord())}
+            mean = _mean([g.coords[v] for v in g.vertices])
+            coords = {**g.coords, **dict.fromkeys(new, mean)}
             return GeometricGraph(
                 g.vertices + tuple(new), g.edges, coords, g.node_labels, g.edge_labels,
                 empty_edges=slots - g.m,
@@ -626,7 +627,7 @@ class TestGraphAlignment:
 
 def padded_features(g, n):
     """g's feature rows followed by empty rows at its mean, n rows in all."""
-    mx, my = g.mean_coord()
+    mx, my = _mean([g.coords[v] for v in g.vertices])
     feats = edge_features(g)
     return np.vstack((feats, np.tile((0.0, 0.0, mx, my, mx, my), (n - len(feats), 1))))
 
