@@ -32,7 +32,11 @@ when asked.  Graphs appear only at the API edge: ``pad_to_equal`` pads rows
 too and, like a transform or an alignment, rebuilds the graphs it changed
 with ``_moved``; the distance and the alignment accept rows in place of
 graphs, so a graph matched many times is prepared once, aligned or not, and
-the verdict's endpoint and tolerance checks read the rows too.
+the verdict's endpoint and tolerance checks read the rows too.  Rows
+remember each size they were padded to (``GeometricRows.pads``) for as long
+as they live, so rows re-scored under many weight vectors are padded once
+per size; rows built from a graph inside one call die with that call and
+take their padding with them.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -56,7 +60,7 @@ rows of every placement, a graph's own included, come from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,19 +68,28 @@ from scipy.optimize import linear_sum_assignment
 from .graphs import GeometricGraph, _mean, canonical_edge
 
 
-@dataclass(frozen=True)
 class Assignment:
-    """An optimal row-to-column assignment: index pairs plus total cost."""
+    """An optimal row-to-column assignment: scipy's row and column index
+    arrays plus the total cost; the index pairs are built when read."""
 
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: float
+    __slots__ = ("rows", "cols", "total_cost")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, total_cost: float):
+        self.rows, self.cols, self.total_cost = rows, cols, total_cost
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
 
 def solve_lsap(cost: np.ndarray) -> Assignment:
-    """Minimum-cost linear sum assignment (Hungarian method, O(n^3)).
+    """Minimum-cost linear sum assignment: scipy's shortest augmenting path
+    solver (Crouse 2016, "On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 52), O(n^3) in the worst case.
 
     Infinite entries mark forbidden pairings; the matrix must still admit a
-    feasible assignment.
+    feasible assignment.  Every assignment solve of the package goes through
+    here.
     """
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2:
@@ -84,10 +97,10 @@ def solve_lsap(cost: np.ndarray) -> Assignment:
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"cost matrix must be square, got {matrix.shape}")
     if matrix.size == 0:
-        return Assignment((), 0.0)
+        none = np.zeros(0, dtype=np.intp)
+        return Assignment(none, none, 0.0)
     rows, cols = linear_sum_assignment(matrix)
-    total = float(matrix[rows, cols].sum())
-    return Assignment(tuple(zip(rows.tolist(), cols.tolist())), total)
+    return Assignment(rows, cols, float(matrix[rows, cols].sum()))
 
 
 @dataclass(frozen=True)
@@ -166,13 +179,16 @@ class GeometricRows:
     ``coords`` holds the coordinates in vertex order (n, 2), ``ends`` each
     real edge's endpoint indices into ``coords`` in edge order (m, 2),
     ``edges`` the feature rows of all m + empty_edges slots and ``mean`` the
-    ``_mean`` of the coordinates.
+    ``_mean`` of the coordinates.  ``pads`` remembers ``_padded``'s results
+    by (n, slots), so rows matched many times are padded once per size; the
+    memo lives exactly as long as these rows.
     """
 
     coords: np.ndarray
     ends: np.ndarray
     edges: np.ndarray
     mean: tuple[float, float]
+    pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _coord_array(g: GeometricGraph) -> np.ndarray:
@@ -236,10 +252,14 @@ def edge_features(g: GeometricGraph) -> np.ndarray:
 def _padded(r: GeometricRows, n: int, slots: int) -> GeometricRows:
     """r padded to n vertices and ``slots`` edge slots, for ``_pair`` and so
     for ``pad_to_equal``: new vertices at r's mean, every empty slot at the
-    padded mean.  r itself when it has that size already."""
+    padded mean.  r itself when it has that size already; otherwise the same
+    padded rows for every call with that size (remembered in ``r.pads``)."""
     coords, feats, mean = r.coords, r.edges, r.mean
     if n == len(coords) and slots == len(feats):
         return r
+    padded = r.pads.get((n, slots))
+    if padded is not None:
+        return padded
     if n > len(coords):
         coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
         mean = _mean(coords.tolist())
@@ -248,7 +268,8 @@ def _padded(r: GeometricRows, n: int, slots: int) -> GeometricRows:
         mx, my = mean
         empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
         feats = np.concatenate((feats, empty))
-    return GeometricRows(coords, r.ends, feats, mean)
+    padded = r.pads[n, slots] = GeometricRows(coords, r.ends, feats, mean)
+    return padded
 
 
 def _has_alignable_edge(g) -> bool:
@@ -266,8 +287,7 @@ class _NoAlignableEdge(ValueError):
 
 def _vertex_cost_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Euclidean distance between every pair of (n, 2) coordinate rows."""
-    d = c1[:, None, :] - c2[None, :, :]
-    return np.hypot(d[..., 0], d[..., 1])
+    return np.hypot(c1[:, 0, None] - c2[:, 0], c1[:, 1, None] - c2[:, 1])
 
 
 def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
@@ -527,13 +547,14 @@ def geometric_graph_isomorphism(
     sizes_match = len(r1.coords) == len(r2.coords) and len(r1.edges) == len(r2.edges)
     r1, r2 = _pair(r1, r2, "ed")
     vassign = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords))
+    mapping = vassign.pairs
     ed_costs = _edge_cost_matrix(r1.edges, r2.edges, _ED_WEIGHTS)
     eassign = solve_lsap(ed_costs)
     gd = vassign.total_cost + eassign.total_cost
     if not sizes_match:
-        return GeometricIsomorphism("distance", gd, vassign.pairs)
+        return GeometricIsomorphism("distance", gd, mapping)
 
-    consistent = _edge_endpoints_consistent(r1, r2, vassign.pairs, eassign.pairs)
+    consistent = _edge_endpoints_consistent(r1, r2, mapping, eassign.pairs)
     if not consistent:
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
@@ -542,16 +563,15 @@ def geometric_graph_isomorphism(
         retry_cost = math.fsum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(
-                r1, r2, vassign.pairs, tie_broken.pairs
+                r1, r2, mapping, tie_broken.pairs
             )
     if gd <= 1e-9 and consistent:
-        return GeometricIsomorphism("isomorphic", gd, vassign.pairs)
+        return GeometricIsomorphism("isomorphic", gd, mapping)
 
     if tolerance > 0 and consistent:
-        i, j = np.array(vassign.pairs, dtype=np.intp).reshape(-1, 2).T
-        if (np.abs(r1.coords[i] - r2.coords[j]) < tolerance).all():
-            return GeometricIsomorphism("t_tolerant", gd, vassign.pairs)
-    return GeometricIsomorphism("distance", gd, vassign.pairs)
+        if (np.abs(r1.coords[vassign.rows] - r2.coords[vassign.cols]) < tolerance).all():
+            return GeometricIsomorphism("t_tolerant", gd, mapping)
+    return GeometricIsomorphism("distance", gd, mapping)
 
 
 def geometric_graph_distance(

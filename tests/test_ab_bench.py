@@ -68,3 +68,32 @@ def test_report_summarizes_float_metrics_and_judges_end_to_end_ones():
     assert out["verdict"]["pairs_per_s"]["pairs_won_by_change"] == 2
     assert out["verdict"]["setup_s"]["pairs_won_by_change"] == 1
     assert set(out["verdict"]) == {"pairs_per_s", "setup_s"}
+
+
+def test_sweep_outputs_keep_accuracy_and_weights_per_label():
+    sweeps = [
+        {"label": "tune", "accuracy": 0.5, "distance_sum": 1.0, "weights": [0.2, 0.3, 0.1, 0.4]},
+        {"label": "geometric", "accuracy": 0.75, "distance_sum": 2.0, "weights": None},
+    ]
+    assert ab_bench.sweep_outputs(sweeps) == {
+        "tune": {"accuracy": 0.5, "weights": [0.2, 0.3, 0.1, 0.4]},
+        "geometric": {"accuracy": 0.75, "weights": None},
+    }
+
+
+def test_compare_sides_checks_sums_and_outputs_apart():
+    def run(accuracy=0.5, weights=(0.25, 0.25, 0.25, 0.25), total=10.0):
+        sweeps = [{"label": "tune", "accuracy": accuracy, "weights": list(weights),
+                   "distance_sum": total}]
+        return {"distance_sums": {"tune": total}, "outputs": ab_bench.sweep_outputs(sweeps)}
+
+    cases = (
+        (run(), (True, True)),
+        (run(accuracy=0.6), (True, False)),
+        (run(weights=(0.27, 0.25, 0.23, 0.25)), (True, False)),
+        (run(total=10.000000000000002), (False, True)),
+    )
+    for change, expected in cases:
+        pair = {"parent": run(), "change": change}
+        ab_bench.compare_sides(pair)
+        assert (pair["distance_sums_equal"], pair["outputs_equal"]) == expected

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from graphmatch import geometric
+from graphmatch.bench import MatcherSpec
 from graphmatch.geometric import (
     DistanceWeights,
     GeometricIsomorphism,
@@ -117,6 +121,15 @@ def square(side=1.0, origin=(0.0, 0.0)):
     return GeometricGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)], coords)
 
 
+def reference_lsap(matrix):
+    """(pairs, total) of ``solve_lsap`` as an eager solver builds them: the
+    index pairs as a tuple right away, the total as a Python float."""
+    if matrix.size == 0:
+        return (), 0.0
+    rows, cols = linear_sum_assignment(matrix)
+    return tuple(zip(rows.tolist(), cols.tolist())), float(matrix[rows, cols].sum())
+
+
 # -- assignment solver ---------------------------------------------------
 
 
@@ -156,6 +169,20 @@ class TestSolveLsap:
         a = solve_lsap(matrix)
         assert dict(a.pairs) == {0: 1, 1: 0}
         assert a.total_cost == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((0, 0)),
+        np.array([[4.5]]),
+        np.full((4, 4), 2.5),
+        np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [0.0, 3.0, 3.0]]),
+        np.array([[np.inf, 1.0, 2.0], [1.0, np.inf, 2.0], [2.0, 2.0, np.inf]]),
+    ])
+    def test_pairs_and_total_as_the_eager_solver_built_them(self, matrix):
+        a = solve_lsap(matrix)
+        pairs, total = reference_lsap(matrix)
+        assert a.pairs == pairs
+        assert type(a.total_cost) is float
+        assert a.total_cost == total
 
 
 class TestTransportBound:
@@ -1141,3 +1168,204 @@ class TestGeometricGraphDistance:
     def test_weights_tuple_round_trip(self):
         w = DistanceWeights(0.35, 0.23, 0.11, 0.31)
         assert w.as_tuple() == (0.35, 0.23, 0.11, 0.31)
+
+
+# -- the pair step against its eager form -----------------------------------
+
+
+def reference_padded(r, n, slots):
+    """``_padded`` without its memo: fresh padded rows on every call."""
+    coords, feats, mean = r.coords, r.edges, r.mean
+    if n == len(coords) and slots == len(feats):
+        return r
+    if n > len(coords):
+        coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
+        mean = _mean(coords.tolist())
+        feats = feats[: len(r.ends)]
+    if slots > len(feats):
+        mx, my = mean
+        empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
+        feats = np.concatenate((feats, empty))
+    return geometric.GeometricRows(coords, r.ends, feats, mean)
+
+
+def reference_vertex_costs(c1, c2):
+    """The vertex cost matrix through one 3-D coordinate difference."""
+    d = c1[:, None, :] - c2[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def reference_pair(g1, g2, variant):
+    """``_pair`` on fresh rows, padded by ``reference_padded``."""
+    r1, r2 = geometric_rows(g1), geometric_rows(g2)
+    n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
+    r1, r2 = reference_padded(r1, n, slots), reference_padded(r2, n, slots)
+    if variant and geometric._has_alignable_edge(r1) and geometric._has_alignable_edge(r2):
+        r2 = graph_alignment(r1, r2, variant)
+    return r1, r2
+
+
+def reference_distance(g1, g2, weights, align):
+    r1, r2 = reference_pair(g1, g2, "edm" if align else None)
+    _, vd = reference_lsap(reference_vertex_costs(r1.coords, r2.coords))
+    return weights.w1 * vd + reference_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights))[1]
+
+
+def reference_pair_isomorphism(g1, g2, tolerance):
+    """``geometric_graph_isomorphism`` through the eager pair step."""
+    sizes_match = g1.n == g2.n and g1.m + g1.empty_edges == g2.m + g2.empty_edges
+    r1, r2 = reference_pair(g1, g2, "ed")
+    vpairs, vd = reference_lsap(reference_vertex_costs(r1.coords, r2.coords))
+    ed_costs = _edge_cost_matrix(r1.edges, r2.edges, DistanceWeights(w4=0.0))
+    epairs, ed = reference_lsap(ed_costs)
+    gd = vd + ed
+    if not sizes_match:
+        return GeometricIsomorphism("distance", gd, vpairs)
+    consistent = geometric._edge_endpoints_consistent(r1, r2, vpairs, epairs)
+    if not consistent:
+        tie_broken, _ = reference_lsap(_edge_cost_matrix(r1.edges, r2.edges, DistanceWeights()))
+        if math.fsum(ed_costs[i, j] for i, j in tie_broken) <= ed + 1e-9:
+            consistent = geometric._edge_endpoints_consistent(r1, r2, vpairs, tie_broken)
+    if gd <= 1e-9 and consistent:
+        return GeometricIsomorphism("isomorphic", gd, vpairs)
+    i, j = np.array(vpairs, dtype=np.intp).reshape(-1, 2).T
+    if tolerance > 0 and consistent and (np.abs(r1.coords[i] - r2.coords[j]) < tolerance).all():
+        return GeometricIsomorphism("t_tolerant", gd, vpairs)
+    return GeometricIsomorphism("distance", gd, vpairs)
+
+
+PAIR_STEP_WEIGHTS = (
+    DistanceWeights(1, 1, 1, 1),
+    DistanceWeights(0.35, 0.23, 0.11, 0.31),
+    DistanceWeights(0.25, 0.25, 0.25, 0.25),
+)
+
+
+def pair_step_graphs():
+    """Seeded pairs of unequal sizes both ways round, pairs with explicit
+    empty slots, edgeless and single-vertex graphs, and near-copies."""
+    rng = random.Random(211)
+    for _ in range(12):
+        g1 = random_geometric(rng, rng.randint(2, 9), p=rng.uniform(0.2, 0.6))
+        g2 = random_geometric(rng, rng.randint(2, 9), p=rng.uniform(0.2, 0.6))
+        yield g1, g2
+        yield g2, g1
+    for _ in range(6):
+        g1 = random_geometric(rng, rng.randint(3, 7))
+        g2 = random_geometric(rng, rng.randint(3, 7))
+        yield (
+            GeometricGraph(g1.vertices, g1.edges, g1.coords, empty_edges=rng.randint(0, 3)),
+            GeometricGraph(g2.vertices, g2.edges, g2.coords, empty_edges=rng.randint(1, 4)),
+        )
+    edgeless = GeometricGraph([0, 1, 2], coords={0: (1.0, 0.5), 1: (2.0, 3.0), 2: (0.0, 1.5)})
+    single = GeometricGraph([4], coords={4: (3.0, -1.0)})
+    for g in (square(), random_geometric(rng, 6), edgeless, single):
+        for h in (edgeless, single):
+            yield g, h
+            yield h, g
+    for _ in range(6):
+        g = random_geometric_fixed(rng, 5, 6)
+        copy = similarity_copy(g, rng.uniform(0, math.tau), rng.uniform(0.5, 2.0), (1.0, -2.0))
+        yield g, jittered(copy, rng, rng.choice((0.0, 1e-3, 0.05)))
+
+
+class TestPairStepMatchesEagerForm:
+    """Remembered padding, the two-column vertex matrix and assignments that
+    build their index pairs on demand give every distance and verdict bit for
+    bit as the eager pair step gave them."""
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_distances_equal_on_graphs_and_on_rows(self, align):
+        for g1, g2 in pair_step_graphs():
+            r1, r2 = geometric_rows(g1), geometric_rows(g2)
+            for w in PAIR_STEP_WEIGHTS:
+                expected = reference_distance(g1, g2, w, align)
+                assert geometric_graph_distance(g1, g2, w, align=align) == expected
+                assert geometric_graph_distance(r1, r2, w, align=align) == expected
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_tune_like_rescoring_of_warm_rows_equals_cold_graphs(self, align):
+        rng = random.Random(223)
+        graphs = [random_geometric(rng, rng.randint(2, 8), p=0.4) for _ in range(8)]
+        rows = [geometric_rows(g) for g in graphs]
+        weights = [DistanceWeights(*(rng.uniform(0.0, 1.0) for _ in range(4)))
+                   for _ in range(25)]
+        for w in weights:
+            for (a, ra), (b, rb) in itertools.product(zip(graphs, rows), repeat=2):
+                warm = geometric_graph_distance(ra, rb, w, align=align)
+                assert warm == geometric_graph_distance(a, b, w, align=align)
+                assert warm == reference_distance(a, b, w, align)
+        assert any(r.pads for r in rows)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.01, 0.2])
+    def test_isomorphism_verdicts_distances_and_mappings_equal(self, tolerance):
+        for g1, g2 in pair_step_graphs():
+            got = geometric_graph_isomorphism(g1, g2, tolerance)
+            assert got == reference_pair_isomorphism(g1, g2, tolerance)
+
+    def test_vertex_costs_equal_the_3d_difference(self):
+        rng = np.random.default_rng(227)
+        for n in (0, 1, 4, 17):
+            c1, c2 = rng.normal(size=(n, 2)) * 50, rng.normal(size=(n, 2))
+            got = geometric._vertex_cost_matrix(c1, c2)
+            assert got.shape == (n, n)
+            assert np.array_equal(got, reference_vertex_costs(c1, c2))
+
+
+class TestPaddingMemo:
+    @staticmethod
+    def rows(n=4, p=0.5, empty_edges=0, seed=229):
+        g = random_geometric(random.Random(seed), n, p)
+        return geometric_rows(GeometricGraph(g.vertices, g.edges, g.coords, empty_edges=empty_edges))
+
+    def test_repeated_padding_returns_the_same_rows(self):
+        r = self.rows(empty_edges=1)
+        for n, slots in ((6, len(r.edges) + 3), (4, len(r.edges) + 2), (7, len(r.edges))):
+            first = geometric._padded(r, n, slots)
+            assert geometric._padded(r, n, slots) is first
+            fresh = reference_padded(r, n, slots)
+            assert np.array_equal(first.coords, fresh.coords)
+            assert np.array_equal(first.ends, fresh.ends)
+            assert np.array_equal(first.edges, fresh.edges)
+            assert first.mean == fresh.mean
+
+    def test_rows_are_not_mutated_and_come_back_at_their_own_size(self):
+        r = self.rows()
+        coords, edges, mean = r.coords.copy(), r.edges.copy(), r.mean
+        assert geometric._padded(r, len(r.coords), len(r.edges)) is r
+        assert r.pads == {}
+        geometric._padded(r, len(r.coords) + 2, len(r.edges) + 5)
+        assert np.array_equal(r.coords, coords)
+        assert np.array_equal(r.edges, edges)
+        assert r.mean == mean
+
+    def test_memo_holds_only_the_sizes_asked_for(self):
+        r = self.rows()
+        n, m = len(r.coords), len(r.edges)
+        for size in ((n + 1, m), (n, m + 2), (n + 1, m), (n, m)):
+            geometric._padded(r, *size)
+        assert set(r.pads) == {(n + 1, m), (n, m + 2)}
+        assert all(not padded.pads for padded in r.pads.values())
+
+    def test_memo_stays_out_of_repr(self):
+        r = self.rows()
+        before = repr(r)
+        geometric._padded(r, len(r.coords) + 1, len(r.edges))
+        assert repr(r) == before
+        assert "pads" not in before
+
+    def test_distance_on_raw_graphs_leaves_no_memo_behind(self, monkeypatch):
+        made = []
+
+        def recording_rows(g):
+            r = geometric_rows(g)
+            made.append(weakref.ref(r))
+            return r
+
+        monkeypatch.setattr(geometric, "geometric_rows", recording_rows)
+        g1, g2 = square(), random_geometric(random.Random(233), 6)
+        distance = MatcherSpec("geometric(1,1,1,1)").distance(g1, g2)
+        assert distance == reference_distance(g1, g2, DistanceWeights(), False)
+        gc.collect()
+        assert len(made) == 2
+        assert all(ref() is None for ref in made)

@@ -15,7 +15,8 @@ The output file holds the environment, every run, each side's min,
 quartiles and median per metric, and per end-to-end metric of
 BENCHMARK.json how many pairs the change won and whether the gap between
 the medians exceeds the parent's interquartile range, and whether each
-pair's two sides gave the same distance sums.  Nothing is gated on these
+pair's two sides gave the same distance sums and the same sweep outputs
+(each sweep's accuracy and tuned weights).  Nothing is gated on these
 numbers; the exit code is 1 only when a run fails its own checks.
 """
 
@@ -91,7 +92,23 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
         **details["detail"],
         "wall_s": wall,
         "distance_sums": {s["label"]: s["distance_sum"] for s in details["sweeps"]},
+        "outputs": sweep_outputs(details["sweeps"]),
     }
+
+
+def sweep_outputs(sweeps: list[dict]) -> dict:
+    """Each sweep label's accuracy and tuned weights (None when the sweep
+    tunes nothing), from the last sweep with that label."""
+    return {s["label"]: {"accuracy": s["accuracy"], "weights": s["weights"]}
+            for s in sweeps}
+
+
+def compare_sides(pair: dict) -> None:
+    """Mark whether the pair's two runs gave the same distance sums and the
+    same sweep outputs."""
+    parent, change = pair["parent"], pair["change"]
+    pair["distance_sums_equal"] = parent["distance_sums"] == change["distance_sums"]
+    pair["outputs_equal"] = parent["outputs"] == change["outputs"]
 
 
 def summarize(values: list[float]) -> dict:
@@ -172,9 +189,7 @@ def main(argv=None) -> int:
                 pair[side] = run_side(roots[side], args.workload, seed, args.seconds)
                 print(f"pair {n} seed {seed} {side}: "
                       f"pairs_per_s {pair[side]['pairs_per_s']}", file=sys.stderr)
-            pair["distance_sums_equal"] = (
-                pair["parent"]["distance_sums"] == pair["change"]["distance_sums"]
-            )
+            compare_sides(pair)
             ok &= all(pair[side]["exit"] == 0 and pair[side]["correct"] for side in order)
             pairs.append(pair)
 
@@ -212,6 +227,7 @@ def main(argv=None) -> int:
     out["distance_sums_equal_in_every_pair"] = all(
         pair["distance_sums_equal"] for pair in pairs
     )
+    out["outputs_equal_in_every_pair"] = all(pair["outputs_equal"] for pair in pairs)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if ok else 1
 
