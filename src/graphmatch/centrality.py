@@ -124,12 +124,16 @@ _SCORERS = {
 MEASURES = tuple(_SCORERS)
 
 
+def _check_measure(measure: str) -> None:
+    if measure not in _SCORERS:
+        raise ValueError(f"unknown centrality measure {measure!r}")
+
+
 def centrality(g: AttributedGraph, measure: str) -> CentralityVector:
     """Centrality scores of every vertex under the given measure."""
     if g.n == 0:
         raise ValueError("centrality of an empty graph")
-    if measure not in _SCORERS:
-        raise ValueError(f"unknown centrality measure {measure!r}")
+    _check_measure(measure)
     return CentralityVector(measure, _SCORERS[measure](g))
 
 
@@ -142,8 +146,10 @@ def _least_central(g: AttributedGraph, rounds: int, measure: str) -> list:
 
     The ranking is computed once on the input, so round r takes the r-th
     vertex in (score, id) order and removes it unless that would change the
-    component count; a blocked selection still uses up its round.
+    component count; a blocked selection still uses up its round.  The
+    measure is checked even when no round runs.
     """
+    _check_measure(measure)
     if rounds == 0 or g.n == 0:
         return []
     ranking = centrality(g, measure).scores

@@ -178,22 +178,20 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# each contract mode: the option it needs (None for none) and its contraction
+_CONTRACTIONS = {
+    "kstar": ("k", lambda g, a: k_star_node_contraction(g, a.k)),
+    "rcentrality": ("r", lambda g, a: r_centrality_node_contraction(g, a.r, a.measure)),
+    "tcentrality": ("t", lambda g, a: t_centrality_node_contraction(g, a.t, a.measure)),
+    "path": (None, lambda g, a: path_contract(g)),
+}
+
+
 def _cmd_contract(args) -> int:
-    g = _read_graph(args.infile, args.profile)
-    if args.mode == "path":
-        contracted, report = path_contract(g)
-    elif args.mode == "kstar":
-        if args.k is None:
-            raise ValueError("--mode kstar needs --k")
-        contracted, report = k_star_node_contraction(g, args.k)
-    elif args.mode == "rcentrality":
-        if args.r is None:
-            raise ValueError("--mode rcentrality needs --r")
-        contracted, report = r_centrality_node_contraction(g, args.r, args.measure)
-    else:
-        if args.t is None:
-            raise ValueError("--mode tcentrality needs --t")
-        contracted, report = t_centrality_node_contraction(g, args.t, args.measure)
+    option, contract = _CONTRACTIONS[args.mode]
+    if option and getattr(args, option) is None:
+        raise ValueError(f"--mode {args.mode} needs --{option}")
+    contracted, report = contract(_read_graph(args.infile, args.profile), args)
     Path(args.out).write_text(write_gxl(contracted))
     print(
         f"{report.before_n} -> {report.after_n} vertices "
@@ -295,9 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract one GXL graph")
     p.add_argument("--in", dest="infile", required=True, help="input GXL")
-    p.add_argument(
-        "--mode", choices=("kstar", "rcentrality", "tcentrality", "path"), required=True
-    )
+    p.add_argument("--mode", choices=tuple(_CONTRACTIONS), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=float)
     p.add_argument("--t", type=int)

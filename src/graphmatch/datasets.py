@@ -92,8 +92,13 @@ def _decode_value(el: ET.Element):
 
 
 def _decode_scalar(el: ET.Element):
+    """A scalar value; ``string`` text verbatim, literals without their
+    surrounding whitespace."""
     tag = el.tag.lower()
-    text = (el.text or "").strip()
+    text = el.text or ""
+    if tag in ("string", "str"):
+        return text
+    text = text.strip()
     try:
         if tag == "float":
             return float(text)
@@ -101,8 +106,6 @@ def _decode_scalar(el: ET.Element):
             return int(text)
     except ValueError:
         raise GxlParseError(f"bad {tag} literal {text!r}") from None
-    if tag in ("string", "str"):
-        return text
     if tag == "bool":
         return text.lower() == "true"
     if tag == "tup":
@@ -148,7 +151,7 @@ def _vertex_ids(raw_ids: Sequence[str]) -> list[int]:
     # with their original vertex ids; anything else numbers by document order
     resolved = []
     for raw in raw_ids:
-        m = re.fullmatch(r"_?(\d+)", raw)
+        m = re.fullmatch(r"_?(-?\d+)", raw)
         resolved.append(int(m.group(1)) if m else None)
     if None in resolved or len(set(resolved)) != len(resolved):
         return list(range(len(raw_ids)))
@@ -190,7 +193,7 @@ def parse_gxl(content: bytes | str, profile: str) -> AttributedGraph:
             node_labels[v] = coords[v]
         elif profile == "molecule":
             symbol = attrs.get("symbol", attrs.get("chem"))
-            node_labels[v] = None if symbol is None else str(symbol)
+            node_labels[v] = None if symbol is None else str(symbol).strip()
         else:
             node_labels[v] = _label_from(attrs.get("label"))
 

@@ -127,7 +127,6 @@ class EditPath:
 
     ops: tuple[EditOp, ...]
     total_cost: float
-    complete: bool = True
     preprocessing: tuple[EditOp, ...] = ()
 
     @property
@@ -149,10 +148,13 @@ def path_from_mapping(
 
     Mapped vertices are substituted, the rest of g1 deleted and the rest of
     g2 inserted; every edge operation follows from the node decisions.
+    ValueError unless the mapping is injective from g1's vertices into g2's.
     """
     used = set(mapping.values())
     if len(used) != len(mapping):
         raise ValueError("mapping is not injective")
+    if not (mapping.keys() <= g1.node_labels.keys() and used <= g2.node_labels.keys()):
+        raise ValueError("mapping names vertices the graphs do not have")
     ops = []
 
     def add(kind, source=None, target=None, source_label=None, target_label=None):

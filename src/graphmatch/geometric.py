@@ -22,11 +22,12 @@ Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
 (angle 0, length 0, endpoints at the graph mean).  Empty slots are counted
 on the graph (``empty_edges``), never materialized as structural edges.
-Every mean is summed left to right in vertex order (``_mean``).
+Every mean is summed left to right in vertex order, by one function
+(``_means``).
 
 The weighted distance and the isomorphism verdict share one pair path on
 rows (``_pair``): each graph's ``GeometricRows`` (coordinates, edge endpoint
-indices, feature rows, mean), which ``geometric_rows`` extracts once per
+indices, feature rows), which ``geometric_rows`` extracts once per
 graph, padded to one size by ``_padded``, then g2's rows aligned to g1's
 when asked.  Graphs appear only at the API edge: ``pad_to_equal`` pads rows
 too and, like a transform or an alignment, rebuilds the graphs it changed
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import GeometricGraph, _mean, canonical_edge
+from .graphs import GeometricGraph, canonical_edge
 
 
 class Assignment:
@@ -177,17 +178,16 @@ class GeometricRows:
     """What the weighted distance and the alignment read of one plane graph.
 
     ``coords`` holds the coordinates in vertex order (n, 2), ``ends`` each
-    real edge's endpoint indices into ``coords`` in edge order (m, 2),
-    ``edges`` the feature rows of all m + empty_edges slots and ``mean`` the
-    ``_mean`` of the coordinates.  ``pads`` remembers ``_padded``'s results
-    by (n, slots), so rows matched many times are padded once per size; the
-    memo lives exactly as long as these rows.
+    real edge's endpoint indices into ``coords`` in edge order (m, 2) and
+    ``edges`` the feature rows of all m + empty_edges slots, the empty ones
+    at the ``_means`` of the coordinates.  ``pads`` remembers ``_padded``'s
+    results by (n, slots), so rows matched many times are padded once per
+    size; the memo lives exactly as long as these rows.
     """
 
     coords: np.ndarray
     ends: np.ndarray
     edges: np.ndarray
-    mean: tuple[float, float]
     pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -200,6 +200,14 @@ def _edge_ends(g: GeometricGraph) -> np.ndarray:
     """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
     index = {v: i for i, v in enumerate(g.vertices)}
     return np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+
+
+def _means(coords: np.ndarray) -> np.ndarray:
+    """The mean coordinate (C, 2) of each of C placements (C, n, 2), the
+    origin for n = 0: the one mean of plane graphs, a running sum from 0.0,
+    left to right in vertex order."""
+    sums = np.concatenate((np.zeros((len(coords), 1, 2)), coords), axis=1).cumsum(axis=1)
+    return sums[:, -1] / max(coords.shape[1], 1)
 
 
 def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.ndarray:
@@ -221,9 +229,7 @@ def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.
     feats[:, :m, 1] = _hypot(dx, dy).astype(float)
     feats[:, :m, 2:4] = left
     feats[:, :m, 4:6] = right
-    # _mean of each placement: a running sum from 0.0, left to right
-    sums = np.concatenate((np.zeros((len(coords), 1, 2)), coords), axis=1).cumsum(axis=1)
-    feats[:, m:, 2:4] = feats[:, m:, 4:6] = sums[:, -1:] / max(coords.shape[1], 1)
+    feats[:, m:, 2:4] = feats[:, m:, 4:6] = _means(coords)[:, None]
     return feats
 
 
@@ -234,7 +240,7 @@ def geometric_rows(g: GeometricGraph) -> GeometricRows:
         raise ValueError("geometric distance needs graphs with coordinates")
     coords, ends = _coord_array(g), _edge_ends(g)
     feats = _placement_features(coords[None], ends, g.m + g.empty_edges)[0]
-    return GeometricRows(coords, ends, feats, _mean(coords.tolist()))
+    return GeometricRows(coords, ends, feats)
 
 
 def _rows_of(g) -> GeometricRows:
@@ -251,24 +257,19 @@ def edge_features(g: GeometricGraph) -> np.ndarray:
 
 def _padded(r: GeometricRows, n: int, slots: int) -> GeometricRows:
     """r padded to n vertices and ``slots`` edge slots, for ``_pair`` and so
-    for ``pad_to_equal``: new vertices at r's mean, every empty slot at the
-    padded mean.  r itself when it has that size already; otherwise the same
-    padded rows for every call with that size (remembered in ``r.pads``)."""
-    coords, feats, mean = r.coords, r.edges, r.mean
-    if n == len(coords) and slots == len(feats):
+    for ``pad_to_equal``: new vertices at r's ``_means``, then r's real rows,
+    then every empty slot at the padded ``_means``.  r itself when it has
+    that size already; otherwise the same padded rows for every call with
+    that size (remembered in ``r.pads``)."""
+    if n == len(r.coords) and slots == len(r.edges):
         return r
     padded = r.pads.get((n, slots))
-    if padded is not None:
-        return padded
-    if n > len(coords):
-        coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
-        mean = _mean(coords.tolist())
-        feats = feats[: len(r.ends)]  # the empty slots move to the new mean
-    if slots > len(feats):
-        mx, my = mean
-        empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
-        feats = np.concatenate((feats, empty))
-    padded = r.pads[n, slots] = GeometricRows(coords, r.ends, feats, mean)
+    if padded is None:
+        m, new = len(r.ends), n - len(r.coords)
+        coords = np.concatenate((r.coords, np.full((new, 2), _means(r.coords[None])[0])))
+        mx, my = _means(coords[None])[0]
+        feats = np.concatenate((r.edges[:m], np.full((slots - m, 6), (0.0, 0.0, mx, my, mx, my))))
+        padded = r.pads[n, slots] = GeometricRows(coords, r.ends, feats)
     return padded
 
 
@@ -473,8 +474,7 @@ def graph_alignment(
         return g2
     coords = placements[best]
     if isinstance(g2, GeometricRows):
-        best_feats = feats[best, : len(r2.edges)]
-        return GeometricRows(coords, r2.ends, best_feats, _mean(coords.tolist()))
+        return GeometricRows(coords, r2.ends, feats[best, : len(r2.edges)])
     return _moved(g2, coords, len(r2.edges))
 
 

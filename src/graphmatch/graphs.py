@@ -7,8 +7,9 @@ finite 2-D coordinate to every vertex.
 
 Vertex ids are plain ints.  They are kept in an explicit order (insertion
 order of the ``vertices`` argument) because downstream code relies on a
-deterministic traversal: edit-distance search processes vertices in this
-order, and coordinate matrices are built from it.
+deterministic traversal: beam search and edit-path pricing process vertices
+in this order (the exact search takes them by decreasing degree, ties by
+id), and coordinate matrices are built from it.
 """
 
 from __future__ import annotations
@@ -154,18 +155,6 @@ class AttributedGraph:
             node_labels={v: self.node_labels[v] for v in vertices},
             edge_labels=edge_labels,
         )
-
-
-def _mean(points) -> tuple[float, float]:
-    """Mean of a list of (x, y) points, the origin for none: the one mean of
-    plane graphs and their geometric rows.  Summed left to right, not by fsum,
-    because ``geometric._placement_features`` repeats it with a numpy cumsum."""
-    sx = sy = 0.0
-    for x, y in points:
-        sx += x
-        sy += y
-    n = max(len(points), 1)
-    return (sx / n, sy / n)
 
 
 class GeometricGraph(AttributedGraph):

@@ -58,10 +58,13 @@ INVALID_METHODS = (
     "ged-beam",
     "ged-beam(0)",
     "ged-beam(x)",
+    "bipartite(1)",
+    "hged(1,2)",
     "kstar-ged",
     "kstar-ged(-1)",
     "kstar-ged(1,0)",
     "r-ged(0.5)",
+    "r-ged(x,degree)",
     "r-ged(1.5,degree)",
     "r-ged(0.5,closeness)",
     "t-ged(-1,degree)",
@@ -591,6 +594,14 @@ class TestTuneWeights:
             tune_weights(DatasetSplit("train", ()), split)
         with pytest.raises(ValueError):
             tune_weights(split, split, delta=0.0)
+        with pytest.raises(ValueError, match="positive sum"):
+            tune_weights(split, split, DistanceWeights(0.0, 0.0, 0.0, 0.0))
+
+    def test_moves_that_zero_every_weight_are_skipped(self):
+        # from (1, 0, 0, 0), the -1 move on w1 leaves no weight to normalize
+        split = split_of("train", point_instance(0, "a", "x"), point_instance(5, "b", "y"))
+        start = DistanceWeights(1.0, 0.0, 0.0, 0.0)
+        assert tune_weights(split, split, start, delta=1.0) == start
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_non_finite_delta_rejected(self, delta):

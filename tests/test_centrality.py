@@ -328,6 +328,22 @@ class TestCentralityGed:
         assert r_centrality_ged(g1, g2, 0.0, "degree").total_cost == ged(g1, g2).total_cost
         assert t_centrality_ged(g1, g2, 0, "pagerank").total_cost == ged(g1, g2).total_cost
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, m: r_centrality_node_contraction(g, 0.0, m),
+            lambda g, m: t_centrality_node_contraction(g, 0, m),
+            lambda g, m: t_centrality_node_contraction(AttributedGraph([]), 2, m),
+            lambda g, m: t_centrality_node_contraction(g, 1, m),
+            lambda g, m: r_centrality_ged(g, g, 0.0, m),
+            lambda g, m: t_centrality_ged(g, g, 0, m),
+        ],
+        ids=["r0", "t0", "t2-empty", "t1", "r-ged-r0", "t-ged-t0"],
+    )
+    def test_unknown_measure_rejected_even_without_rounds(self, call):
+        with pytest.raises(ValueError, match="unknown centrality measure"):
+            call(FIG, "closeness")
+
     def test_self_distance_zero(self):
         g = random_graph(8, 0.35, seed=89)
         for measure in MEASURES:

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from graphmatch.bench import MatcherSpec, knn_classify, tune_weights
+from graphmatch.centrality import r_centrality_node_contraction
 from graphmatch.cli import main
 from graphmatch.contraction import k_star_node_contraction
 from graphmatch.datasets import load_dataset, parse_gxl, write_gxl
@@ -207,6 +208,36 @@ class TestClassify:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_some_failed_pairs_warn_and_keep_the_rest(self, tmp_path, capsys):
+        # a graph without coordinates fails every geometric pair it is in
+        graphs = [
+            GeometricGraph([0, 1], [(0, 1)], coords={0: (0.0, 0.0), 1: (1.0, 0.0)}),
+            GeometricGraph([0, 1], [(0, 1)], coords={0: (0.0, 0.0), 1: (0.0, 3.0)}),
+            AttributedGraph([0, 1], [(0, 1)]),
+        ]
+        entries = []
+        for i, g in enumerate(graphs):
+            (tmp_path / f"g{i}.gxl").write_text(write_gxl(g))
+            entries.append(f'<print file="g{i}.gxl" class="{"aab"[i]}"/>')
+        index = tmp_path / "train.cxl"
+        index.write_text(
+            "<GraphCollection><fingerprints>" + "".join(entries)
+            + "</fingerprints></GraphCollection>"
+        )
+        out = tmp_path / "acc.csv"
+        code = run(
+            "classify",
+            "--train", index,
+            "--test", index,
+            "--data", tmp_path,
+            "--profile", "generic",
+            "--method", "geometric(1,1,1,1)",
+            "--out", out,
+        )
+        assert code == 0
+        assert "warning: 5 pairs failed" in capsys.readouterr().err
+        assert int(read_csv(out)[0]["pair_count"]) == 4
+
     def test_missing_required_flag_exits_with_usage(self):
         with pytest.raises(SystemExit) as exc:
             run("classify", "--train", "x.cxl")
@@ -341,6 +372,34 @@ class TestContract:
         )
         assert code == 0
         assert parse_gxl(out.read_bytes(), "generic").n == 2
+
+    def test_rcentrality_mode_matches_library(self, tmp_path):
+        g = AttributedGraph(range(5), [(0, 1), (1, 2), (2, 3), (2, 4)])
+        src = self.write_graph(tmp_path, g)
+        out = tmp_path / "out.gxl"
+        code = run(
+            "contract",
+            "--in", src,
+            "--mode", "rcentrality",
+            "--r", 0.5,
+            "--measure", "betweenness",
+            "--out", out,
+        )
+        assert code == 0
+        expect, _ = r_centrality_node_contraction(g, 0.5, "betweenness")
+        result = parse_gxl(out.read_bytes(), "generic")
+        assert result.vertices == expect.vertices
+        assert result.edges == expect.edges
+
+    @pytest.mark.parametrize("mode, option", [("rcentrality", "--r"), ("tcentrality", "--t")])
+    def test_mode_option_checked_before_reading(self, tmp_path, capsys, mode, option):
+        code = run(
+            "contract", "--in", tmp_path / "absent.gxl", "--mode", mode,
+            "--out", tmp_path / "o.gxl",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --mode {mode} needs {option}\n"
+        assert not (tmp_path / "o.gxl").exists()
 
     def test_missing_mode_parameter(self, tmp_path, capsys):
         src = self.write_graph(tmp_path, AttributedGraph([0, 1], [(0, 1)]))

@@ -49,6 +49,11 @@ MALFORMED = {
     # every profile decodes every node attr, and no attr may nest a tup
     "nested-tup.gxl": with_label("<tup><tup><float>1.0</float></tup></tup>"),
     "deep-tup.gxl": with_label(DEEP_TUP),
+    "date-value.gxl": with_label("<date>2020-01-01</date>"),
+    "nameless-attr.gxl": LETTER_SAMPLE.replace('name="x"', "", 1),
+    "idless-node.gxl": LETTER_SAMPLE.replace(' id="_1"', "", 1),
+    "fromless-edge.gxl": LETTER_SAMPLE.replace(' from="_0"', "", 1),
+    "toless-edge.gxl": LETTER_SAMPLE.replace(' to="_1"', "", 1),
 }
 
 # Documents whose labels are malformed: they fail under the generic profile,
@@ -58,7 +63,7 @@ MALFORMED_LABELS = {
 }
 
 
-def molecule_doc(symbol_attr="symbol", with_coords=False):
+def molecule_doc(symbol_attr="symbol", with_coords=False, carbon="C"):
     coords = (
         '<attr name="x"><float>0.5</float></attr><attr name="y"><float>1.5</float></attr>'
         if with_coords
@@ -66,7 +71,7 @@ def molecule_doc(symbol_attr="symbol", with_coords=False):
     )
     return f"""
     <gxl><graph id="m">
-      <node id="_0"><attr name="{symbol_attr}"><string>C</string></attr>{coords}</node>
+      <node id="_0"><attr name="{symbol_attr}"><string>{carbon}</string></attr>{coords}</node>
       <node id="_1"><attr name="{symbol_attr}"><string>O</string></attr>{coords}</node>
       <edge from="_0" to="_1"/>
     </graph></gxl>
@@ -118,6 +123,11 @@ class TestParseGxl:
     def test_molecule_chem_attribute_accepted(self):
         g = parse_gxl(molecule_doc(symbol_attr="chem"), "molecule")
         assert g.node_label(0) == "C"
+
+    def test_molecule_symbols_lose_their_padding(self):
+        # AIDS-style files pad chemical symbols to a fixed width
+        for carbon in ("C  ", " C", "\tC\n"):
+            assert parse_gxl(molecule_doc(carbon=carbon), "molecule").node_label(0) == "C"
 
     def test_molecule_attribute_map_override(self):
         doc = molecule_doc(symbol_attr="atom")
@@ -178,6 +188,12 @@ class TestParseGxl:
         """
         assert parse_gxl(doc, "generic").node_label(0) == "plain text"
 
+    def test_bool_values_read_as_numbers(self):
+        for text, want in (("true", (1.0,)), (" True ", (1.0,)), ("false", (0.0,))):
+            doc = with_label(f"<bool>{text}</bool>")
+            assert parse_gxl(doc, "generic").node_label(0) == want
+            assert parse_gxl(doc, "letter").node_label(0) == (0.0, 0.0)
+
     def test_generic_scalar_label_becomes_vector(self):
         doc = """
         <gxl><graph>
@@ -235,6 +251,21 @@ class TestRoundTrip:
         for _ in range(15):
             g = random_graph(rng.randint(1, 9), rng.uniform(0.1, 0.9), seed=rng.getrandbits(16))
             self.assert_identical(g, parse_gxl(write_gxl(g), "generic"))
+
+    def test_string_labels_keep_their_whitespace(self):
+        g = AttributedGraph(
+            [0, 1, 2],
+            [(0, 1), (1, 2)],
+            node_labels={0: " C ", 1: "  ", 2: ""},
+            edge_labels={(0, 1): " x", (1, 2): "y\t"},
+        )
+        self.assert_identical(g, parse_gxl(write_gxl(g), "generic"))
+
+    def test_negative_vertex_ids(self):
+        g = GeometricGraph(
+            [-1, 5, 2], [(-1, 5), (5, 2)], coords={-1: (0.0, 1.0), 5: (2.0, 3.0), 2: (4.0, 5.0)}
+        )
+        self.assert_identical(g, parse_gxl(write_gxl(g), "generic"))
 
     def test_letter_parse_then_write_round_trips_generically(self):
         g = parse_gxl(LETTER_SAMPLE, "letter")
@@ -307,6 +338,17 @@ class TestLoadDataset:
             assert len(split.errors) == len(bad)
             for file in bad:
                 assert any(file in e for e in split.errors)
+
+    def test_print_entries_without_file_or_class_recorded(self, tmp_path):
+        (tmp_path / "a.gxl").write_text(LETTER_SAMPLE)
+        index = tmp_path / "train.cxl"
+        index.write_text(
+            '<GraphCollection><fingerprints><print file="a.gxl" class="A"/>'
+            '<print file="a.gxl"/><print class="A"/></fingerprints></GraphCollection>'
+        )
+        split = load_dataset(index, tmp_path, "letter")
+        assert [i.source_id for i in split.instances] == ["a.gxl"]
+        assert split.errors == ("print entry without file/class attributes",) * 2
 
     def test_duplicate_index_entries_skipped(self, tmp_path):
         index = self.write_corpus(

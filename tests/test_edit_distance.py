@@ -191,6 +191,14 @@ class TestPathFromMapping:
         with pytest.raises(ValueError):
             path_from_mapping(g, g, {0: 0, 1: 0})
 
+    @pytest.mark.parametrize("mapping", [{7: 0}, {0: 9}, {0: 0, 7: 1}])
+    def test_rejects_vertices_outside_the_graphs(self, mapping):
+        # priced as given, {7: 0} would leave g2's vertex 0 neither
+        # substituted nor inserted
+        k2 = AttributedGraph(range(2), [(0, 1)])
+        with pytest.raises(ValueError, match="do not have"):
+            path_from_mapping(k2, k2, mapping)
+
     def test_ops_account_for_every_vertex_and_edge(self):
         g1 = AttributedGraph(range(3), [(0, 1), (1, 2)])
         g2 = AttributedGraph(range(4), [(0, 1), (2, 3)])
@@ -341,7 +349,7 @@ class TestExactGed:
             g = labeled_graph(rng, 4, 0.5)
             path = ged(g, g)
             assert path.total_cost == 0.0
-            assert path.complete
+            assert path.ops == path_from_mapping(g, g, path.mapping).ops
 
     def test_empty_graphs(self):
         e = AttributedGraph([])
@@ -1055,7 +1063,8 @@ class TestBeamSearch:
             g1 = labeled_graph(rng, rng.randrange(7), 0.5)
             g2 = labeled_graph(rng, rng.randrange(7), 0.5)
             for w in (1, 3, 10):
-                assert ged(g1, g2, beam_width=w).complete
+                path = ged(g1, g2, beam_width=w)
+                assert path.ops == path_from_mapping(g1, g2, path.mapping).ops
         with pytest.raises(AssertionError, match="bound tables"):
             ged(g1, g2)
 
@@ -1098,7 +1107,7 @@ class TestBeamSearch:
         g1 = labeled_graph(rng, 6, 0.4)
         g2 = labeled_graph(rng, 4, 0.6)
         path = ged(g1, g2, beam_width=2)
-        assert path.complete
+        assert path.ops == path_from_mapping(g1, g2, path.mapping).ops
         assert path.total_cost == pytest.approx(sum(op.cost for op in path.ops))
 
 

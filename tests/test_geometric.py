@@ -36,7 +36,7 @@ from graphmatch.geometric import (
     solve_lsap,
     vertex_distance,
 )
-from graphmatch.graphs import AttributedGraph, GeometricGraph, _mean, canonical_edge, random_graph
+from graphmatch.graphs import AttributedGraph, GeometricGraph, canonical_edge, random_graph
 
 
 # -- oracles and generators ---------------------------------------------------
@@ -58,6 +58,17 @@ def oracle_vertex_distance(g1, g2):
         sum(math.dist(p, c2[j]) for p, j in zip(c1, perm))
         for perm in itertools.permutations(range(len(c2)))
     )
+
+
+def left_to_right_mean(points):
+    """Mean of (x, y) points summed left to right from 0.0, the origin for
+    none: the mean ``geometric._means`` must equal bit for bit."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    n = max(len(points), 1)
+    return (sx / n, sy / n)
 
 
 # Feature rows: column 0 = theta, 1 = length, 2:4 = left, 4:6 = right.
@@ -298,8 +309,19 @@ class TestEdgeFeature:
             assert feats.shape == (g.m + extra, 6)
             for row, (u, v) in zip(feats, g.edges):
                 assert (row == segment_row(g.coords[u], g.coords[v])).all()
-            mx, my = _mean([g.coords[v] for v in g.vertices])
+            mx, my = left_to_right_mean([g.coords[v] for v in g.vertices])
             assert (feats[g.m :] == (0.0, 0.0, mx, my, mx, my)).all()
+
+    def test_means_sum_each_placement_left_to_right(self):
+        rng = np.random.default_rng(13)
+        for c, n in ((1, 0), (1, 1), (3, 5), (4, 40)):
+            placements = rng.normal(size=(c, n, 2)) * 10.0 ** rng.integers(-3, 9, size=(c, n, 1))
+            got = geometric._means(placements)
+            assert got.shape == (c, 2)
+            for mean, coords in zip(got.tolist(), placements.tolist()):
+                assert tuple(mean) == left_to_right_mean(coords)
+        # -0.0 summed from 0.0 is +0.0, as in the Python loop
+        assert math.copysign(1.0, geometric._means(np.full((1, 1, 2), -0.0))[0, 0]) == 1.0
 
 
 # -- elementary distances --------------------------------------------------
@@ -515,7 +537,6 @@ class TestPadToEqual:
                 got = geometric_rows(padded[k])
                 assert got.coords.tolist() == r.coords.tolist()
                 assert got.edges.tolist() == r.edges.tolist()
-                assert got.mean == r.mean
 
     def test_matches_graph_padding_reference(self):
         def reference_pad(g, n, slots):
@@ -524,7 +545,7 @@ class TestPadToEqual:
                 return g
             start = max(g.vertices, default=-1) + 1
             new = range(start, start + n - g.n)
-            mean = _mean([g.coords[v] for v in g.vertices])
+            mean = left_to_right_mean([g.coords[v] for v in g.vertices])
             coords = {**g.coords, **dict.fromkeys(new, mean)}
             return GeometricGraph(
                 g.vertices + tuple(new), g.edges, coords, g.node_labels, g.edge_labels,
@@ -654,7 +675,7 @@ class TestGraphAlignment:
 
 def padded_features(g, n):
     """g's feature rows followed by empty rows at its mean, n rows in all."""
-    mx, my = _mean([g.coords[v] for v in g.vertices])
+    mx, my = left_to_right_mean([g.coords[v] for v in g.vertices])
     feats = edge_features(g)
     return np.vstack((feats, np.tile((0.0, 0.0, mx, my, mx, my), (n - len(feats), 1))))
 
@@ -858,7 +879,6 @@ class TestAlignmentMatchesReference:
                 assert np.array_equal(got.coords, want.coords)
                 assert np.array_equal(got.edges, want.edges)
                 assert np.array_equal(got.ends, want.ends)
-                assert got.mean == want.mean
                 assert (got is r2) == (aligned is g2)
                 identity += got is r2
         assert identity >= 10
@@ -1175,18 +1195,19 @@ class TestGeometricGraphDistance:
 
 def reference_padded(r, n, slots):
     """``_padded`` without its memo: fresh padded rows on every call."""
-    coords, feats, mean = r.coords, r.edges, r.mean
+    coords, feats = r.coords, r.edges
     if n == len(coords) and slots == len(feats):
         return r
+    mean = left_to_right_mean(coords.tolist())
     if n > len(coords):
         coords = np.concatenate((coords, np.array([mean] * (n - len(coords)))))
-        mean = _mean(coords.tolist())
+        mean = left_to_right_mean(coords.tolist())
         feats = feats[: len(r.ends)]
     if slots > len(feats):
         mx, my = mean
         empty = np.array([(0.0, 0.0, mx, my, mx, my)] * (slots - len(feats)))
         feats = np.concatenate((feats, empty))
-    return geometric.GeometricRows(coords, r.ends, feats, mean)
+    return geometric.GeometricRows(coords, r.ends, feats)
 
 
 def reference_vertex_costs(c1, c2):
@@ -1327,17 +1348,15 @@ class TestPaddingMemo:
             assert np.array_equal(first.coords, fresh.coords)
             assert np.array_equal(first.ends, fresh.ends)
             assert np.array_equal(first.edges, fresh.edges)
-            assert first.mean == fresh.mean
 
     def test_rows_are_not_mutated_and_come_back_at_their_own_size(self):
         r = self.rows()
-        coords, edges, mean = r.coords.copy(), r.edges.copy(), r.mean
+        coords, edges = r.coords.copy(), r.edges.copy()
         assert geometric._padded(r, len(r.coords), len(r.edges)) is r
         assert r.pads == {}
         geometric._padded(r, len(r.coords) + 2, len(r.edges) + 5)
         assert np.array_equal(r.coords, coords)
         assert np.array_equal(r.edges, edges)
-        assert r.mean == mean
 
     def test_memo_holds_only_the_sizes_asked_for(self):
         r = self.rows()

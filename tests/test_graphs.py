@@ -89,6 +89,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             GeometricGraph([0], [], coords={0: (math.inf, 0.0)})
 
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: AttributedGraph([0, 1, 0]), ValueError, "duplicate vertex ids"),
+            (lambda: AttributedGraph([0], node_labels={0: (1.0, math.nan)}),
+             ValueError, "non-finite label vector"),
+            (lambda: AttributedGraph([0], node_labels={0: 1.5}), TypeError, "unsupported label"),
+            (lambda: AttributedGraph([0, 1, 2], [(0, 1)], edge_labels={(2, 1): "x"}),
+             ValueError, "label for missing edge"),
+            (lambda: GeometricGraph([0], coords={0: (0.0, 0.0)}, empty_edges=-1),
+             ValueError, "empty_edges"),
+            (lambda: is_cut_vertex(AttributedGraph([0, 1], [(0, 1)]), 2),
+             KeyError, "unknown vertex 2"),
+        ],
+        ids=["duplicate-ids", "nan-label", "float-label", "missing-edge-label",
+             "negative-empty-edges", "unknown-cut-vertex"],
+    )
+    def test_rejects_invalid_input(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
     def test_degree_and_neighbors(self):
         g = AttributedGraph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
         assert g.degree(0) == 3
