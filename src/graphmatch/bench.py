@@ -30,16 +30,18 @@ from .datasets import DatasetSplit
 from .editdist import DEFAULT_PARAMS, EditCostParams, ged, ged_bipartite
 from .geometric import DistanceWeights, geometric_graph_distance
 
-METHODS = (
-    "ged",
-    "ged-beam",
-    "bipartite",
-    "hged",
-    "kstar-ged",
-    "r-ged",
-    "t-ged",
-    "geometric",
-)
+# the matcher grammar: name -> (argument form, fewest arguments, most arguments)
+_FORMS = {
+    "ged": ("no arguments", 0, 0),
+    "ged-beam": ("(w)", 1, 1),
+    "bipartite": ("no arguments", 0, 0),
+    "hged": ("[(w)]", 0, 1),
+    "kstar-ged": ("(k[,w])", 1, 2),
+    "r-ged": ("(r,measure)", 2, 2),
+    "t-ged": ("(t,measure)", 2, 2),
+    "geometric": ("(w1,w2,w3,w4[,align])", 4, 5),
+}
+METHODS = tuple(_FORMS)
 
 
 def _int_arg(text: str, what: str, minimum: int) -> int:
@@ -65,6 +67,9 @@ def _parse_method(text: str) -> tuple[str, list[str]]:
         raise ValueError(f"unknown matcher {text!r} (one of {', '.join(METHODS)})")
     name = m.group(1)
     args = [a.strip() for a in m.group(2).split(",")] if m.group(2) else []
+    form, fewest, most = _FORMS[name]
+    if not fewest <= len(args) <= most:
+        raise ValueError(f"{name} takes {form}")
     return name, args
 
 
@@ -85,9 +90,9 @@ class PreparedGraph:
 class MatcherSpec:
     """A named graph distance plus its edit-cost constants.
 
-    Method forms: ``ged``, ``ged-beam(w)``, ``bipartite``, ``hged[(w)]``,
-    ``kstar-ged(k[,w])``, ``r-ged(r,measure)``, ``t-ged(t,measure)``,
-    ``geometric(w1,w2,w3,w4[,align])`` with w >= 1, k >= 0, 0 <= r <= 1.
+    Method forms are listed once, in ``_FORMS`` (e.g. ``kstar-ged(k[,w])``,
+    ``geometric(w1,w2,w3,w4[,align])``), with w >= 1, k >= 0, t >= 0 and
+    0 <= r <= 1; a wrong argument count raises ValueError naming the form.
 
     A distance runs in two steps: ``prepare`` does the per-graph work once
     (the contraction of the contracting matchers, the ``geometric_rows`` of
@@ -125,36 +130,24 @@ def _compiled(method: str, p: EditCostParams):
     """(prepare, pair): the per-graph step and the pair step of a method."""
     name, args = _parse_method(method)
 
+    def beam(i):
+        # the optional beam width at args[i]; None runs the exact search
+        return _int_arg(args[i], "beam width", 1) if len(args) > i else None
+
     def edit_distance(w=None):
         # module-level names are looked up at call time, so patched ones are honoured
         return lambda a, b: ged(a, b, p, beam_width=w).total_cost
 
-    if name == "ged":
-        if args:
-            raise ValueError("ged takes no arguments")
-        return _unchanged, edit_distance()
-    if name == "ged-beam":
-        if len(args) != 1:
-            raise ValueError("ged-beam takes exactly (w)")
-        return _unchanged, edit_distance(_int_arg(args[0], "beam width", 1))
+    if name in ("ged", "ged-beam"):
+        return _unchanged, edit_distance(beam(0))
     if name == "bipartite":
-        if args:
-            raise ValueError("bipartite takes no arguments")
         return _unchanged, lambda a, b: ged_bipartite(a, b, p).total_cost
     if name == "hged":
-        if len(args) > 1:
-            raise ValueError("hged takes at most (w)")
-        w = _int_arg(args[0], "beam width", 1) if args else None
-        return (lambda g: contraction.path_contract(g)[0]), edit_distance(w)
+        return (lambda g: contraction.path_contract(g)[0]), edit_distance(beam(0))
     if name == "kstar-ged":
-        if len(args) not in (1, 2):
-            raise ValueError("kstar-ged takes (k) or (k,w)")
         k = _int_arg(args[0], "k", 0)
-        w = _int_arg(args[1], "beam width", 1) if len(args) == 2 else None
-        return (lambda g: contraction.k_star_node_contraction(g, k)[0]), edit_distance(w)
+        return (lambda g: contraction.k_star_node_contraction(g, k)[0]), edit_distance(beam(1))
     if name in ("r-ged", "t-ged"):
-        if len(args) != 2:
-            raise ValueError(f"{name} takes exactly (value,measure)")
         measure = args[1]
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r} (one of {', '.join(MEASURES)})")
@@ -169,8 +162,6 @@ def _compiled(method: str, p: EditCostParams):
         return (
             lambda g: centrality.t_centrality_node_contraction(g, t, measure)[0]
         ), edit_distance()
-    if len(args) not in (4, 5):
-        raise ValueError("geometric takes (w1,w2,w3,w4) or (w1,w2,w3,w4,align)")
     weights = DistanceWeights(*(_float_arg(a, "weight") for a in args[:4]))
     if len(args) == 5 and args[4] != "align":
         raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
@@ -472,12 +463,9 @@ def tune_weights(
             for step in (delta, -delta):
                 moved = list(current.as_tuple())
                 moved[i] += step
-                if moved[i] < 0:
+                if moved[i] < 0 or not any(moved):
                     continue
-                try:
-                    candidate = _normalized(moved)
-                except ValueError:
-                    continue
+                candidate = _normalized(moved)
                 accuracy = _weighted_accuracy(train, validation, prepared, candidate, align)
                 if accuracy > current_accuracy and (
                     best_move is None or accuracy > best_move[0]

@@ -279,10 +279,6 @@ def _has_alignable_edge(g) -> bool:
     return bool((r.edges[: len(r.ends), 1] > 0.0).any())
 
 
-class _NoAlignableEdge(ValueError):
-    """``graph_alignment``'s error when a side has no positive-length edge."""
-
-
 # -- elementary distances ----------------------------------------------------
 
 
@@ -435,7 +431,7 @@ def graph_alignment(
         raise ValueError(f"unknown alignment variant {variant!r}")
     r1, r2 = _rows_of(g1), _rows_of(g2)
     if not _has_alignable_edge(r1) or not _has_alignable_edge(r2):
-        raise _NoAlignableEdge("alignment needs a positive-length edge in both graphs")
+        raise ValueError("alignment needs a positive-length edge in both graphs")
     primary_weights = _EDM_WEIGHTS if variant == "edm" else _ED_WEIGHTS
     # g1's longest edge; argmax takes the first in edge order
     _, _, lx, ly, rx, ry = r1.edges[np.argmax(r1.edges[:, 1])].tolist()
@@ -514,18 +510,15 @@ def _edge_endpoints_consistent(
 
 def _pair(g1, g2, variant: str | None) -> tuple[GeometricRows, GeometricRows]:
     """The rows of g1 and g2 (graphs or rows) padded to one size, with g2
-    aligned to g1 under ``variant`` ("ed" or "edm"; None for no alignment)
-    when both have a positive-length edge: the one pair path of the distance
-    and the isomorphism verdict.  Each side is padded and checked for such
-    an edge once; ``graph_alignment`` does the check."""
+    aligned to g1 under ``variant`` ("ed" or "edm"; None for no alignment):
+    the one pair path of the distance and the isomorphism verdict.  Each
+    side is padded once.  g2 stays where it is unless both padded sides
+    have a positive-length edge to align on."""
     r1, r2 = _rows_of(g1), _rows_of(g2)
     n, slots = max(len(r1.coords), len(r2.coords)), max(len(r1.edges), len(r2.edges))
     r1, r2 = _padded(r1, n, slots), _padded(r2, n, slots)
-    if variant:
-        try:
-            r2 = graph_alignment(r1, r2, variant)
-        except _NoAlignableEdge:
-            pass  # nothing to align on: g2 stays where it is
+    if variant and _has_alignable_edge(r1) and _has_alignable_edge(r2):
+        r2 = graph_alignment(r1, r2, variant)
     return r1, r2
 
 

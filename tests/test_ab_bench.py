@@ -97,3 +97,13 @@ def test_compare_sides_checks_sums_and_outputs_apart():
         pair = {"parent": run(), "change": change}
         ab_bench.compare_sides(pair)
         assert (pair["distance_sums_equal"], pair["outputs_equal"]) == expected
+
+
+def test_odd_pair_count_rejected_before_any_git_call(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(ab_bench, "git", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as info:
+        ab_bench.main(["--workload", "exact-ged", "--pairs", "3", "--seconds", "1",
+                       "--out", str(tmp_path / "ab.json")])
+    assert info.value.code == 2
+    assert calls == []

@@ -108,6 +108,15 @@ class TestMatcherSpec:
             with pytest.raises(ValueError):
                 MatcherSpec(method)
 
+    @pytest.mark.parametrize("name", bench.METHODS)
+    def test_wrong_argument_count_names_the_form(self, name):
+        form, fewest, most = bench._FORMS[name]
+        for count in (most + 1, fewest - 1) if fewest > 0 else (most + 1,):
+            method = f"{name}({','.join(['1'] * count)})" if count else name
+            with pytest.raises(ValueError) as info:
+                MatcherSpec(method)
+            assert form in str(info.value), method
+
     @pytest.mark.parametrize("method", ["geometric(nan,1,1,1)", "geometric(1,1,inf,1)"])
     def test_non_finite_geometric_weights_rejected(self, method):
         with pytest.raises(ValueError, match="finite"):

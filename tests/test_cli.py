@@ -153,6 +153,19 @@ class TestClassify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_wrong_argument_count_names_the_form(self, tmp_path, capsys):
+        data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
+        code = run(
+            "classify",
+            "--train", train_index,
+            "--test", train_index,
+            "--data", data,
+            "--method", "kstar-ged(1,2,3)",
+            "--out", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "(k[,w])" in capsys.readouterr().err
+
     def test_bad_cost_flag(self, tmp_path):
         data, train_index = synth_corpus(tmp_path, "corpus", classes=2, per_class=1)
         code = run(

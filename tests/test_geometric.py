@@ -1167,6 +1167,21 @@ class TestGeometricGraphDistance:
                     geometric_graph_distance(g1, g2, DistanceWeights(w4=0.0))
                 )
 
+    def test_alignment_not_called_without_a_positive_length_edge(self, monkeypatch):
+        def no_alignment(*args, **kwargs):
+            raise AssertionError("graph_alignment called")
+
+        point = GeometricGraph([0, 1], [(0, 1)], coords={0: (2.0, 2.0), 1: (2.0, 2.0)})
+        edgeless = GeometricGraph([0], coords={0: (3.0, 4.0)})
+        monkeypatch.setattr(geometric, "graph_alignment", no_alignment)
+        for other in (point, edgeless):
+            for g1, g2 in ((square(), other), (other, square())):
+                aligned = geometric_graph_distance(g1, g2, align=True)
+                assert aligned == geometric_graph_distance(g1, g2)
+                assert geometric_graph_isomorphism(g1, g2).distance == geometric_graph_distance(
+                    g1, g2, DistanceWeights(w4=0.0)
+                )
+
     def test_requires_coordinates(self):
         plain = AttributedGraph([0, 1], [(0, 1)])
         for g1, g2 in ((plain, square()), (square(), plain), (plain, plain)):

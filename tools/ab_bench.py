@@ -8,7 +8,8 @@ the parent commit (``--base``) and the working tree, which is every tracked
 or untracked file git does not ignore, staged into a throwaway index so the
 real one is left alone.  Each pair runs ``perfbench/run.py --trace 0`` once
 per side from that side's own root, the parent first in even pairs and the
-change first in odd ones.  ``--holdout-seed`` adds one more pair at another
+change first in odd ones; ``--pairs`` must be even, so that each side runs
+first equally often.  ``--holdout-seed`` adds one more pair at another
 seed, reported apart from the rest.
 
 The output file holds the environment, every run, each side's min,
@@ -168,8 +169,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 2 or args.pairs % 2 or args.seconds <= 0:
+        parser.error("--pairs must be even and >= 2, and --seconds > 0")
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
