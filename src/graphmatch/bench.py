@@ -12,12 +12,11 @@ distance weights.
 from __future__ import annotations
 
 import math
-import multiprocessing
+import operator
 import re
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -239,20 +238,6 @@ def _distance_row(matcher, test, train):
     return distances, times, failures
 
 
-# a pool worker's matcher and prepared training graphs, set once per worker
-_worker_args = None
-
-
-def _init_worker(matcher, train):
-    global _worker_args
-    _worker_args = (matcher, train)
-
-
-def _worker_row(test):
-    matcher, train = _worker_args
-    return _distance_row(matcher, test, train)
-
-
 def _vote(distances, train, k: int) -> str | None:
     """Majority class among the k nearest; ties fall to the candidate class
     with the smaller summed distance inside the neighborhood, then to the
@@ -299,8 +284,6 @@ def knn_classify(
     test: DatasetSplit,
     matcher: MatcherSpec,
     k: int,
-    *,
-    jobs: int = 1,
 ) -> BenchResult:
     """Classify each test instance by majority vote of its k nearest
     training instances under the matcher's distance.
@@ -312,28 +295,23 @@ def knn_classify(
     and per class.  Pairs on which the matcher raises are recorded as
     failures, excluded from timing, and leave the test instance to be
     classified from whatever distances remain (none at all counts as a
-    miss).  ``jobs`` > 1 spreads test rows over processes, each of which
-    receives the matcher and the prepared training graphs once; timing stays
-    per-pair wall clock of the pair step either way.  Every prediction is
-    re-checked from the distance rows (``_audit_predictions``); a mismatch
-    raises RuntimeError.
+    miss).  Every pair runs in the calling process and is timed by the wall
+    clock of its pair step.  Every prediction is re-checked from the distance
+    rows (``_audit_predictions``); a mismatch raises RuntimeError.  A k that
+    is not an integer or is below 1 raises ValueError before any graph is
+    prepared.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
     if not train.instances or not test.instances:
         raise ValueError("train and test splits must be nonempty")
     train_graphs = _prepared(matcher, train.instances)
     test_graphs = _prepared(matcher, test.instances)
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_worker,
-            initargs=(matcher, train_graphs),
-        ) as pool:
-            results = list(pool.map(_worker_row, test_graphs))
-    else:
-        results = [_distance_row(matcher, t, train_graphs) for t in test_graphs]
+    results = [_distance_row(matcher, t, train_graphs) for t in test_graphs]
 
     rows = [r[0] for r in results]
     times = [t for r in results for t in r[1]]

@@ -100,7 +100,7 @@ def _cmd_classify(args) -> int:
     matcher = MatcherSpec(args.method, _float_fields(args.cost, "--cost", DEFAULT_PARAMS))
     train = _load_split(args.train, args.data, args.profile, "train")
     test = _load_split(args.test, args.data, args.profile, "test")
-    result = knn_classify(train, test, matcher, args.knn, jobs=args.jobs)
+    result = knn_classify(train, test, matcher, args.knn)
     if result.failures and result.pair_count == 0:
         raise ValueError(f"every pair failed: {result.failures[0]}")
     classes = sorted(result.per_class_accuracy)
@@ -120,7 +120,10 @@ def _cmd_classify(args) -> int:
         ],
     )
     if result.failures:
-        print(f"warning: {len(result.failures)} pairs failed", file=sys.stderr)
+        print(
+            f"warning: {len(result.failures)} pairs failed; first: {result.failures[0]}",
+            file=sys.stderr,
+        )
     print(
         f"{matcher.method}: mean accuracy {result.mean_accuracy:.2f} "
         f"over {len(test.instances)} test instances"
@@ -271,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, help="matcher spec, e.g. kstar-ged(1)")
     p.add_argument("--knn", type=positive_int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--cost", help="x_node,y_node,x_edge,y_edge,z_path")
     p.set_defaults(run=_cmd_classify)
 

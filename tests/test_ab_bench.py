@@ -30,7 +30,7 @@ def test_summarize_one_run():
 
 def test_verdict_when_higher_is_better():
     v = ab_bench.verdict([100.0, 110.0, 120.0, 130.0, 140.0],
-                         [150.0, 160.0, 90.0, 170.0, 180.0], "higher")
+                         [150.0, 160.0, 90.0, 170.0, 180.0], "higher", 0.24)
     assert v["pairs_won_by_change"] == 4
     assert v["pairs"] == 5
     assert v["median_gain"] == 40.0
@@ -40,15 +40,51 @@ def test_verdict_when_higher_is_better():
 
 
 def test_verdict_when_lower_is_better_and_ties_count_for_neither():
-    v = ab_bench.verdict([10.0, 12.0, 11.0, 11.0], [9.0, 13.0, 8.0, 11.0], "lower")
+    v = ab_bench.verdict([10.0, 12.0, 11.0, 11.0], [9.0, 13.0, 8.0, 11.0], "lower", 0.25)
     assert v["pairs_won_by_change"] == 2
     assert v["median_gain"] == 1.0
     assert v["parent_iqr"] == 0.5
     assert v["gain_exceeds_parent_iqr"]
-    worse = ab_bench.verdict([10.0, 12.0, 11.0], [10.5, 12.5, 11.5], "lower")
+    worse = ab_bench.verdict([10.0, 12.0, 11.0], [10.5, 12.5, 11.5], "lower", 0.25)
     assert worse["pairs_won_by_change"] == 0
     assert worse["median_gain"] == -0.5
     assert not worse["gain_exceeds_parent_iqr"]
+
+
+def test_verdict_reports_worsening_against_the_bound():
+    better = ab_bench.verdict([100.0, 110.0, 120.0, 130.0, 140.0],
+                              [150.0, 160.0, 90.0, 170.0, 180.0], "higher", 0.24)
+    assert better["median_worsening_frac"] == 0.0
+    assert better["bound"] == 0.24
+    assert better["within_bound"]
+    assert better["parent_iqr_frac"] == pytest.approx(20 / 120)
+    assert not better["unresolved"]
+    # 5% worse, inside a 10% bound, but the parent's IQR is 20% of its median
+    worse = ab_bench.verdict([100.0, 90.0, 110.0, 80.0, 120.0],
+                             [95.0, 85.0, 105.0, 75.0, 115.0], "higher", 0.1)
+    assert worse["median_worsening_frac"] == pytest.approx(0.05)
+    assert worse["within_bound"]
+    assert worse["parent_iqr_frac"] == pytest.approx(0.2)
+    assert worse["unresolved"]
+    assert not ab_bench.verdict([100.0, 90.0, 110.0, 80.0, 120.0],
+                                [95.0, 85.0, 105.0, 75.0, 115.0], "higher", 0.24)["unresolved"]
+
+
+def test_verdict_beyond_the_bound_and_wide_spread_beaten_by_every_run():
+    slower = ab_bench.verdict([1.0, 1.0, 1.0, 1.0], [1.5, 1.5, 1.5, 1.5], "lower", 0.25)
+    assert slower["median_worsening_frac"] == 0.5
+    assert not slower["within_bound"]
+    assert slower["parent_iqr_frac"] == 0.0
+    assert not slower["unresolved"]
+    # parent IQR 47.5 of median 135 exceeds the bound, but every change run
+    # beats every parent run
+    v = ab_bench.verdict([100.0, 200.0, 150.0, 120.0], [250.0, 300.0, 260.0, 280.0],
+                         "higher", 0.24)
+    assert v["parent_iqr_frac"] == pytest.approx(47.5 / 135)
+    assert not v["unresolved"]
+    lost_one = ab_bench.verdict([100.0, 200.0, 150.0, 120.0], [250.0, 300.0, 190.0, 280.0],
+                                "higher", 0.24)
+    assert lost_one["unresolved"]
 
 
 def test_report_summarizes_float_metrics_and_judges_end_to_end_ones():
@@ -60,13 +96,16 @@ def test_report_summarizes_float_metrics_and_judges_end_to_end_ones():
         {"parent": run(100.0, 1.0), "change": run(150.0, 1.0)},
         {"parent": run(110.0, 1.2), "change": run(140.0, 0.9)},
     ]
-    end_to_end = [{"name": "pairs_per_s", "better": "higher"},
-                  {"name": "setup_s", "better": "lower"}]
+    end_to_end = [{"name": "pairs_per_s", "better": "higher", "bound": 0.24},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
     out = ab_bench.report(pairs, end_to_end)
     assert set(out["summary"]["parent"]) == {"pairs_per_s", "setup_s", "pairs_per_s.ged"}
     assert out["summary"]["change"]["pairs_per_s.ged"]["median"] == 72.5
     assert out["verdict"]["pairs_per_s"]["pairs_won_by_change"] == 2
     assert out["verdict"]["setup_s"]["pairs_won_by_change"] == 1
+    assert out["verdict"]["setup_s"]["bound"] == 0.25
+    assert out["verdict"]["setup_s"]["median_worsening_frac"] == 0.0
+    assert out["verdict"]["pairs_per_s"]["within_bound"]
     assert set(out["verdict"]) == {"pairs_per_s", "setup_s"}
 
 

@@ -90,7 +90,7 @@ def split_of(name, *instances):
 
 class MemoryErrorOnLargeTrain(MatcherSpec):
     """``ged`` that runs out of memory on every pair whose train graph has
-    more than one vertex.  Module level, so spawned workers can unpickle it."""
+    more than one vertex."""
 
     def distance(self, g1, g2):
         if self.prepare(g2).data.n > 1:
@@ -192,6 +192,20 @@ class TestKnnClassify:
         with pytest.raises(ValueError):
             knn_classify(DatasetSplit("train", ()), split, MatcherSpec("ged"), 1)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1"])
+    def test_non_integer_k_rejected_before_any_graph_is_prepared(self, monkeypatch, k):
+        calls, prepare = [], MatcherSpec.prepare
+
+        def counting_prepare(matcher, g):
+            calls.append(g)
+            return prepare(matcher, g)
+
+        monkeypatch.setattr(MatcherSpec, "prepare", counting_prepare)
+        split = split_of("train", point_instance(0, "a", "x"), point_instance(1, "b", "y"))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_classify(split, split, MatcherSpec("geometric(1,1,1,1)"), k)
+        assert calls == []
+
     def test_identical_corpora_classify_perfectly(self):
         # zero self-distance makes leave-one-in 1-NN exact for any metric
         corpus = synthesize_corpus(classes=3, per_class=3, sigma=0.05, seed=17)
@@ -276,8 +290,7 @@ class TestKnnClassify:
         assert len(result.failures) == 1
         assert result.pair_count == 1
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_memory_error_fails_its_pair_alone(self, jobs):
+    def test_memory_error_fails_its_pair_alone(self):
         train = split_of(
             "train",
             point_instance(1.0, "a", "a1"),
@@ -287,7 +300,7 @@ class TestKnnClassify:
         test = split_of(
             "test", point_instance(0.0, "a", "t1"), point_instance(2.9, "b", "t2")
         )
-        result = knn_classify(train, test, MemoryErrorOnLargeTrain("ged"), 1, jobs=jobs)
+        result = knn_classify(train, test, MemoryErrorOnLargeTrain("ged"), 1)
         assert result.failures == ("t1 vs big: MemoryError", "t2 vs big: MemoryError")
         assert result.pair_count == 4
 
@@ -299,17 +312,6 @@ class TestKnnClassify:
         result = knn_classify(train, test, MatcherSpec("geometric(1,1,1,1)"), 1)
         assert result.mean_accuracy == 0.0
         assert result.pair_count == 0
-
-    def test_parallel_equals_serial(self):
-        train = synthesize_corpus(classes=3, per_class=2, sigma=0.02, seed=8)
-        test = synthesize_corpus(
-            classes=3, per_class=2, sigma=0.02, seed=8, jitter_seed=2, name="test"
-        )
-        for method in ("kstar-ged(1)", "r-ged(0.5,betweenness)", "geometric(1,1,1,1)"):
-            serial = knn_classify(train, test, MatcherSpec(method), 1)
-            parallel = knn_classify(train, test, MatcherSpec(method), 1, jobs=2)
-            assert serial.mean_accuracy == parallel.mean_accuracy
-            assert serial.per_class_accuracy == parallel.per_class_accuracy
 
     def test_unpreparable_graphs_fail_each_pair_with_todays_message(self):
         message = "geometric distance needs graphs with coordinates"
@@ -331,12 +333,8 @@ class TestKnnClassify:
             *(f"t2 vs {train_id}: {message}" for train_id in ("a1", "flat", "b1")),
             f"t3 vs flat: {message}",
         )
-        for method, jobs in (
-            ("geometric(1,1,1,1)", 1),
-            ("geometric(1,1,1,1,align)", 1),
-            ("geometric(1,1,1,1)", 2),
-        ):
-            result = knn_classify(train, test, MatcherSpec(method), 1, jobs=jobs)
+        for method in ("geometric(1,1,1,1)", "geometric(1,1,1,1,align)"):
+            result = knn_classify(train, test, MatcherSpec(method), 1)
             assert result.failures == expected
             assert result.pair_count == 4
             assert result.per_class_accuracy == {"a": 50.0, "b": 100.0}

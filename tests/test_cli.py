@@ -248,7 +248,9 @@ class TestClassify:
             "--out", out,
         )
         assert code == 0
-        assert "warning: 5 pairs failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning: 5 pairs failed" in err
+        assert "first: g0.gxl vs g2.gxl: geometric distance needs graphs with coordinates" in err
         assert int(read_csv(out)[0]["pair_count"]) == 4
 
     def test_missing_required_flag_exits_with_usage(self):
@@ -256,7 +258,7 @@ class TestClassify:
             run("classify", "--train", "x.cxl")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--knn", "--jobs"])
+    @pytest.mark.parametrize("flag", ["--knn"])
     def test_count_below_one_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             run(
@@ -266,10 +268,24 @@ class TestClassify:
                 "--data", ".",
                 "--method", "ged",
                 "--out", "x.csv",
-                flag, -3 if flag == "--jobs" else 0,
+                flag, 0,
             )
         assert exc.value.code == 2
         assert f"error: argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "classify",
+                "--train", "x.cxl",
+                "--test", "x.cxl",
+                "--data", ".",
+                "--method", "ged",
+                "--out", "x.csv",
+                "--jobs", 2,
+            )
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestBench:

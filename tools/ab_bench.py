@@ -15,10 +15,13 @@ seed, reported apart from the rest.
 The output file holds the environment, every run, each side's min,
 quartiles and median per metric, and per end-to-end metric of
 BENCHMARK.json how many pairs the change won and whether the gap between
-the medians exceeds the parent's interquartile range, and whether each
-pair's two sides gave the same distance sums and the same sweep outputs
-(each sweep's accuracy and tuned weights).  Nothing is gated on these
-numbers; the exit code is 1 only when a run fails its own checks.
+the medians exceeds the parent's interquartile range (the gain check),
+how far the change median is worse than the parent median against the
+metric's ``bound`` and whether the runs spread too widely to tell (the
+no-regression check), and whether each pair's two sides gave the same
+distance sums and the same sweep outputs (each sweep's accuracy and tuned
+weights).  Nothing is gated on these numbers; the exit code is 1 only when
+a run fails its own checks.
 """
 
 from __future__ import annotations
@@ -122,16 +125,24 @@ def summarize(values: list[float]) -> dict:
             "max": max(values), "n": len(values)}
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> dict:
-    """Pairs the change won and its median gain against the parent's IQR.
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Pairs the change won and its median gain against the parent's IQR;
+    the change median's worsening against ``bound``.
 
     ``parent[n]`` and ``change[n]`` are pair n's runs; ``better`` is
-    "higher" or "lower".  The gain is signed so that positive is better.
+    "higher" or "lower".  The gain is signed so that positive is better;
+    the worsening is the loss part of it, 0 when the change is no worse.
+    ``unresolved`` marks runs too spread to tell: the parent's IQR exceeds
+    ``bound`` times its median, and not every change run beats every
+    parent run.
     """
     sign = 1.0 if better == "higher" else -1.0
     p, c = summarize(parent), summarize(change)
     gain = sign * (c["median"] - p["median"])
     iqr = p["q3"] - p["q1"]
+    worsening_frac = max(0.0, -gain) / p["median"] if p["median"] else None
+    spread_frac = iqr / p["median"] if p["median"] else None
+    beats_every_parent_run = min(sign * b for b in change) > max(sign * a for a in parent)
     return {
         "pairs_won_by_change": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
         "pairs": len(parent),
@@ -139,6 +150,12 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
         "median_gain_frac": gain / p["median"] if p["median"] else None,
         "parent_iqr": iqr,
         "gain_exceeds_parent_iqr": gain > iqr,
+        "median_worsening_frac": worsening_frac,
+        "bound": bound,
+        "within_bound": worsening_frac is not None and worsening_frac <= bound,
+        "parent_iqr_frac": spread_frac,
+        "unresolved": (spread_frac is None or spread_frac > bound)
+        and not beats_every_parent_run,
     }
 
 
@@ -154,7 +171,7 @@ def report(pairs: list[dict], end_to_end: list[dict]) -> dict:
     summary = {side: {name: summarize(values(side, name)) for name in names}
                for side in ("parent", "change")}
     verdicts = {m["name"]: verdict(values("parent", m["name"]),
-                                   values("change", m["name"]), m["better"])
+                                   values("change", m["name"]), m["better"], m["bound"])
                 for m in end_to_end}
     return {"summary": summary, "verdict": verdicts}
 
