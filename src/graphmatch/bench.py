@@ -394,17 +394,33 @@ def _normalized(values) -> DistanceWeights:
     return DistanceWeights(*(v / total for v in values))
 
 
-def _weighted_accuracy(train, validation, prepared, weights, align):
+def _weight_free_pairs(train_rows, validation_rows, align):
+    """Per validation graph, one (r1, r2, vd) per train graph: the two rows
+    padded to one size by ``geometric._pair`` (r2 aligned to r1 under "edm"
+    when ``align``) and their vertex distance.  None of it reads a weight."""
+    variant = "edm" if align else None
+    pairs = [[geometric._pair(a, b, variant) for b in train_rows] for a in validation_rows]
+    return [
+        [(r1, r2, geometric._vertex_assignment(r1.coords, r2.coords).total_cost) for r1, r2 in row]
+        for row in pairs
+    ]
+
+
+def _weighted_accuracy(train, validation, pairs, weights):
     """1-NN validation accuracy, voting exactly as ``knn_classify`` does.
 
-    ``prepared`` holds the train and the validation graphs as ``tune_weights``
-    prepared them; each pair costs one distance call.
+    ``pairs`` is ``_weight_free_pairs``'s.  Each pair costs one distance call
+    on its equal-size rows with w1 = 0, the edge terms alone, plus w1 * vd:
+    the distance ``geometric_graph_distance`` returns under ``weights``, bit
+    for bit.
     """
-    train_graphs, validation_graphs = prepared
+    edge_weights = DistanceWeights(0.0, weights.w2, weights.w3, weights.w4)
     correct = 0
-    for inst, a in zip(validation.instances, validation_graphs):
-        row = [geometric_graph_distance(a, b, weights, align=align) for b in train_graphs]
-        if _vote(row, train, 1) == inst.class_label:
+    for inst, row in zip(validation.instances, pairs):
+        distances = [
+            weights.w1 * vd + geometric_graph_distance(r1, r2, edge_weights) for r1, r2, vd in row
+        ]
+        if _vote(distances, train, 1) == inst.class_label:
             correct += 1
     return correct / len(validation.instances)
 
@@ -424,8 +440,11 @@ def tune_weights(
     moves are tried in a fixed order and only strict improvements are taken.
 
     Each train and validation graph is prepared once per call (its
-    ``geometric_rows``), aligned or not, and every weight vector re-scores
-    the prepared rows; nothing prepared outlives the call.
+    ``geometric_rows``).  Each (validation, train) pair is then padded, and
+    aligned when ``align`` is set, once per call, and its vertex distance
+    solved once; every weight vector re-scores only the pair's edge
+    assignment.  With ``align`` the call so holds one aligned row set per
+    pair until it returns; nothing prepared outlives the call.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")
@@ -433,8 +452,9 @@ def tune_weights(
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     rows = geometric.geometric_rows
     prepared = [[rows(inst.graph) for inst in split.instances] for split in (train, validation)]
+    pairs = _weight_free_pairs(*prepared, align)
     current = _normalized(start.as_tuple())
-    current_accuracy = _weighted_accuracy(train, validation, prepared, current, align)
+    current_accuracy = _weighted_accuracy(train, validation, pairs, current)
     while True:
         best_move = None
         for i in range(4):
@@ -444,7 +464,7 @@ def tune_weights(
                 if moved[i] < 0 or not any(moved):
                     continue
                 candidate = _normalized(moved)
-                accuracy = _weighted_accuracy(train, validation, prepared, candidate, align)
+                accuracy = _weighted_accuracy(train, validation, pairs, candidate)
                 if accuracy > current_accuracy and (
                     best_move is None or accuracy > best_move[0]
                 ):

@@ -16,7 +16,10 @@ E^A is the absolute angle difference in radians, E^L the absolute length
 difference, E^P the mean distance between corresponding canonical endpoints.
 The edge distance ED is the (., 1, 1, 0) setting and its metric variant EDM
 the (., 1, 1, 1) setting; GD and GDM add VD at w1 = 1.  Weights of 1 and 0
-are exact, so these equal the weighted distance bit for bit.
+are exact, so these equal the weighted distance bit for bit.  At w1 = 0, the
+ED/EDM-style settings, ``geometric_graph_distance`` solves no vertex
+assignment: VD is finite, so 0 * VD adds exactly nothing.  Every vertex
+assignment goes through one helper, ``_vertex_assignment``.
 
 Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
@@ -37,7 +40,8 @@ the verdict's endpoint and tolerance checks read the rows too.  Rows
 remember each size they were padded to (``GeometricRows.pads``) for as long
 as they live, so rows re-scored under many weight vectors are padded once
 per size; rows built from a graph inside one call die with that call and
-take their padding with them.
+take their padding with them.  Aligned rows own their arrays and keep none
+of the other alignment candidates alive.
 
 Alignment searches for a similarity transform (rotation, translation,
 uniform scaling) of g2 that minimizes the edge distance against g1: every
@@ -287,11 +291,17 @@ def _vertex_cost_matrix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.hypot(c1[:, 0, None] - c2[:, 0], c1[:, 1, None] - c2[:, 1])
 
 
+def _vertex_assignment(c1: np.ndarray, c2: np.ndarray) -> Assignment:
+    """The optimal assignment between two (n, 2) coordinate arrays by
+    Euclidean distance; its total is VD.  The one vertex-assignment path."""
+    return solve_lsap(_vertex_cost_matrix(c1, c2))
+
+
 def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Minimal total Euclidean movement matching the two vertex sets."""
     if g1.n != g2.n:
         raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    return solve_lsap(_vertex_cost_matrix(_coord_array(g1), _coord_array(g2))).total_cost
+    return _vertex_assignment(_coord_array(g1), _coord_array(g2)).total_cost
 
 
 def _edge_assignment(
@@ -468,10 +478,12 @@ def graph_alignment(
             best, best_primary, best_secondary = k, primary, secondary
     if best == 0:
         return g2
-    coords = placements[best]
     if isinstance(g2, GeometricRows):
-        return GeometricRows(coords, r2.ends, feats[best, : len(r2.edges)])
-    return _moved(g2, coords, len(r2.edges))
+        # copies: views would keep every candidate's placement and rows alive
+        return GeometricRows(
+            placements[best].copy(), r2.ends, feats[best, : len(r2.edges)].copy()
+        )
+    return _moved(g2, placements[best], len(r2.edges))
 
 
 # -- verdicts and weighted distance ------------------------------------------
@@ -539,7 +551,7 @@ def geometric_graph_isomorphism(
     r1, r2 = _rows_of(g1), _rows_of(g2)
     sizes_match = len(r1.coords) == len(r2.coords) and len(r1.edges) == len(r2.edges)
     r1, r2 = _pair(r1, r2, "ed")
-    vassign = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords))
+    vassign = _vertex_assignment(r1.coords, r2.coords)
     mapping = vassign.pairs
     ed_costs = _edge_cost_matrix(r1.edges, r2.edges, _ED_WEIGHTS)
     eassign = solve_lsap(ed_costs)
@@ -579,10 +591,11 @@ def geometric_graph_distance(
     returns w1 * VD plus the optimal assignment total of
     w2 * E^A + w3 * E^L + w4 * E^P over the edge features.  With unit weights
     and no alignment this equals graph_distance_metric on the padded pair.
-    Both graphs must be GeometricGraphs (ValueError otherwise); either may be
-    given as its ``geometric_rows``, with the same result bit for bit, so
-    that a graph matched many times is prepared once.
+    At w1 = 0 no vertex assignment is solved; the result is the same bit
+    for bit.  Both graphs must be GeometricGraphs (ValueError otherwise);
+    either may be given as its ``geometric_rows``, with the same result bit
+    for bit, so that a graph matched many times is prepared once.
     """
     r1, r2 = _pair(g1, g2, "edm" if align else None)
-    vd = solve_lsap(_vertex_cost_matrix(r1.coords, r2.coords)).total_cost
+    vd = _vertex_assignment(r1.coords, r2.coords).total_cost if weights.w1 else 0.0
     return weights.w1 * vd + solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights)).total_cost

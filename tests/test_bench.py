@@ -804,3 +804,97 @@ class TestTuneOnPreparedRows:
                     expected = reference_geometric(a, b, weights, align)
                     for pair in ((a, b), (ra, rb), (ra, b), (a, rb)):
                         assert geometric_graph_distance(*pair, weights, align=align) == expected
+
+
+class TestTuneOnWeightFreePairs:
+    """tune_weights pads, aligns and solves the vertex assignment once per
+    pair; each weight vector then costs one edge-only distance call per pair
+    through ``bench.geometric_graph_distance``."""
+
+    ZERO_VERTEX_WEIGHTS = (
+        DistanceWeights(0.0, 0.23, 0.11, 0.31),
+        DistanceWeights(0.0, 1.0, 1.0, 0.0),
+        DistanceWeights(0.0, 1.0, 1.0, 1.0),
+    )
+
+    @staticmethod
+    def counted_vertex_costs(monkeypatch):
+        built = []
+        costs = geometric._vertex_cost_matrix
+
+        def counted(c1, c2):
+            built.append(len(c1))
+            return costs(c1, c2)
+
+        monkeypatch.setattr(geometric, "_vertex_cost_matrix", counted)
+        return built
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_one_edge_only_call_per_weight_vector_and_pair(self, monkeypatch, align):
+        train, validation = tune_corpus(3)
+        calls, evaluated = [], []
+        distance, accuracy = bench.geometric_graph_distance, bench._weighted_accuracy
+
+        def counted_distance(a, b, weights=DistanceWeights(), align=False):
+            calls.append((a, b, weights, align))
+            return distance(a, b, weights, align=align)
+
+        def counted_accuracy(*args):
+            evaluated.append(args[-1])
+            return accuracy(*args)
+
+        monkeypatch.setattr(bench, "geometric_graph_distance", counted_distance)
+        monkeypatch.setattr(bench, "_weighted_accuracy", counted_accuracy)
+        tune_weights(train, validation, delta=0.2, align=align)
+        pairs = len(train.instances) * len(validation.instances)
+        assert len(evaluated) > 1
+        assert len(calls) == len(evaluated) * pairs
+        for k, (a, b, weights, aligned) in enumerate(calls):
+            assert isinstance(a, GeometricRows) and isinstance(b, GeometricRows)
+            assert a.coords.shape == b.coords.shape and a.edges.shape == b.edges.shape
+            assert not aligned
+            assert weights == DistanceWeights(0.0, *evaluated[k // pairs].as_tuple()[1:])
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_pair_work_runs_once_per_pair(self, monkeypatch, align):
+        train, validation = tune_corpus(2)
+        built = self.counted_vertex_costs(monkeypatch)
+        aligned = []
+        alignment = geometric.graph_alignment
+        monkeypatch.setattr(
+            geometric, "graph_alignment", lambda *args: aligned.append(1) or alignment(*args)
+        )
+        tune_weights(train, validation, delta=0.2, align=align)
+        pairs = len(train.instances) * len(validation.instances)
+        assert len(built) == pairs
+        assert (0 < len(aligned) <= pairs) if align else not aligned
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_rescored_pairs_equal_the_full_distance(self, align):
+        train, validation = tune_corpus(5)
+        rows = [[geometric_rows(i.graph) for i in s.instances] for s in (train, validation)]
+        pairs = bench._weight_free_pairs(*rows, align)
+        for weights in (DistanceWeights(0.35, 0.23, 0.11, 0.31), DistanceWeights(1, 1, 1, 1)):
+            edge_weights = DistanceWeights(0.0, *weights.as_tuple()[1:])
+            for inst, row in zip(validation.instances, pairs):
+                for other, (r1, r2, vd) in zip(train.instances, row):
+                    got = weights.w1 * vd + geometric_graph_distance(r1, r2, edge_weights)
+                    assert got == geometric_graph_distance(
+                        inst.graph, other.graph, weights, align=align
+                    )
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_zero_vertex_weight_builds_no_vertex_costs(self, monkeypatch, seed):
+        train, validation = tune_corpus(seed)
+        built = self.counted_vertex_costs(monkeypatch)
+        for inst in validation.instances:
+            for other in train.instances:
+                a, b = inst.graph, other.graph
+                ra, rb = geometric_rows(a), geometric_rows(b)
+                for align in (False, True):
+                    for weights in self.ZERO_VERTEX_WEIGHTS:
+                        expected = reference_geometric(a, b, weights, align)
+                        built.clear()
+                        assert geometric_graph_distance(a, b, weights, align=align) == expected
+                        assert geometric_graph_distance(ra, rb, weights, align=align) == expected
+                        assert not built

@@ -883,6 +883,24 @@ class TestAlignmentMatchesReference:
                 identity += got is r2
         assert identity >= 10
 
+    def test_aligned_rows_own_their_arrays(self):
+        # views into the candidate arrays would keep every candidate alive
+        moved = 0
+        for g1, g2 in self.random_pairs():
+            if not (geometric._has_alignable_edge(g1) and geometric._has_alignable_edge(g2)):
+                continue
+            r1, r2 = geometric_rows(g1), geometric_rows(g2)
+            for variant in ("ed", "edm"):
+                got = graph_alignment(r1, r2, variant)
+                if got is r2:
+                    continue
+                want = geometric_rows(graph_alignment(g1, g2, variant))
+                assert got.coords.base is None and got.edges.base is None
+                assert np.array_equal(got.coords, want.coords)
+                assert np.array_equal(got.edges, want.edges)
+                moved += 1
+        assert moved >= 100
+
     def test_placements_equal_built_candidates(self):
         for g1, g2 in self.random_pairs():
             p1, p2 = pad_to_equal(g1, g2)
