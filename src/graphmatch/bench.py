@@ -2,9 +2,10 @@
 
 A matcher is named by a compact text form, e.g. ``ged-beam(10)`` or
 ``r-ged(0.25,pagerank)``; ``MatcherSpec`` validates the text once, prepares
-graphs (every ``geometric`` form, aligned or not, as its geometric rows) and
-turns pairs of prepared graphs into distances.  On top of that
-sit a nearest-neighbor classifier with deterministic tie-breaking, a
+graphs (every edit matcher but ``bipartite`` as the edit tables of the graph
+or of its contraction, every ``geometric`` form, aligned or not, as its
+geometric rows) and turns pairs of prepared graphs into distances.  On top
+of that sit a nearest-neighbor classifier with deterministic tie-breaking, a
 wall-clock timing loop, and a steepest-ascent search over the geometric
 distance weights.
 """
@@ -26,7 +27,7 @@ from .centrality import MEASURES
 from .centrality import r_centrality_ged, t_centrality_ged  # noqa: F401
 from .contraction import hged, k_star_ged  # noqa: F401
 from .datasets import DatasetSplit
-from .editdist import DEFAULT_PARAMS, EditCostParams, ged, ged_bipartite
+from .editdist import DEFAULT_PARAMS, EditCostParams, edit_tables, ged, ged_bipartite
 from .geometric import DistanceWeights, geometric_graph_distance
 
 # the matcher grammar: name -> (argument form, fewest arguments, most arguments)
@@ -77,8 +78,8 @@ class PreparedGraph:
     """A graph as one matcher's pair step reads it (``MatcherSpec.prepare``).
 
     ``spec`` is the preparing matcher's (method, cost_params) and ``data``
-    its per-graph result: the graph itself, its contraction, or its
-    geometric rows.
+    its per-graph result: the ``editdist.EditTables`` of the graph or of its
+    contraction, the graph itself (``bipartite``), or its geometric rows.
     """
 
     spec: tuple[str, EditCostParams]
@@ -94,7 +95,8 @@ class MatcherSpec:
     0 <= r <= 1; a wrong argument count raises ValueError naming the form.
 
     A distance runs in two steps: ``prepare`` does the per-graph work once
-    (the contraction of the contracting matchers, the ``geometric_rows`` of
+    (the contraction of the contracting matchers and the search tables,
+    ``edit_tables``, of every search matcher; the ``geometric_rows`` of
     ``geometric``, aligned or not), and the pair step matches two prepared
     graphs.  ``distance`` accepts graphs and prepared graphs alike.
     """
@@ -138,14 +140,16 @@ def _compiled(method: str, p: EditCostParams):
         return lambda a, b: ged(a, b, p, beam_width=w).total_cost
 
     if name in ("ged", "ged-beam"):
-        return _unchanged, edit_distance(beam(0))
+        return edit_tables, edit_distance(beam(0))
     if name == "bipartite":
         return _unchanged, lambda a, b: ged_bipartite(a, b, p).total_cost
     if name == "hged":
-        return (lambda g: contraction.path_contract(g)[0]), edit_distance(beam(0))
+        return (lambda g: edit_tables(contraction.path_contract(g)[0])), edit_distance(beam(0))
     if name == "kstar-ged":
         k = _int_arg(args[0], "k", 0)
-        return (lambda g: contraction.k_star_node_contraction(g, k)[0]), edit_distance(beam(1))
+        return (
+            lambda g: edit_tables(contraction.k_star_node_contraction(g, k)[0])
+        ), edit_distance(beam(1))
     if name in ("r-ged", "t-ged"):
         measure = args[1]
         if measure not in MEASURES:
@@ -155,11 +159,11 @@ def _compiled(method: str, p: EditCostParams):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"r must be in [0, 1], got {r}")
             return (
-                lambda g: centrality.r_centrality_node_contraction(g, r, measure)[0]
+                lambda g: edit_tables(centrality.r_centrality_node_contraction(g, r, measure)[0])
             ), edit_distance()
         t = _int_arg(args[0], "t", 0)
         return (
-            lambda g: centrality.t_centrality_node_contraction(g, t, measure)[0]
+            lambda g: edit_tables(centrality.t_centrality_node_contraction(g, t, measure)[0])
         ), edit_distance()
     weights = DistanceWeights(*(_float_arg(a, "weight") for a in args[:4]))
     if len(args) == 5 and args[4] != "align":

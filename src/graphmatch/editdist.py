@@ -15,11 +15,13 @@ and insertions plus the edge operations they induce.  Costs:
 The tree search processes g1's vertices one per level; each level either
 maps the next vertex onto an unused g2 vertex or deletes it, and leftover
 g2 vertices are inserted when a leaf is reached.  Expansions read index
-tables (node costs, edge ids, edge costs, bitmasks) built once per call,
-never the graph objects.  The exact search is a depth-first branch and
-bound: it expands a node's children in order of their admissible bound,
-keeps the best complete path found so far and skips every node whose bound
-reaches it, so at most n1 * (n2 + 1) nodes are open at once.  It takes
+tables, never the graph objects: the per-graph ones (search orders, labels,
+edge ids, bitmasks; see ``EditTables``) are built once per graph by
+``edit_tables``, and a search builds only the pair ones (node, edge and
+deletion costs, the bound's node part).  The exact search is a depth-first
+branch and bound: it expands a node's children in order of their admissible
+bound, keeps the best complete path found so far and skips every node whose
+bound reaches it, so at most n1 * (n2 + 1) nodes are open at once.  It takes
 g1's vertices by decreasing degree (ties by id), so edge costs are paid
 early and tighten the path cost.  Only the exact search builds the bound
 tables; beam search keeps g1's stored vertex order.  Either search prices
@@ -48,6 +50,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,12 +125,33 @@ class EditPath:
 
     ``preprocessing`` records structure-reducing operations (path
     contractions) that were applied before matching; their costs are kept out
-    of ``total_cost``.
+    of ``total_cost``.  A path from ``path_from_mapping`` builds its ``ops``
+    when they are first read, so a caller that reads only ``total_cost``
+    builds no ``EditOp``.
     """
 
     ops: tuple[EditOp, ...]
     total_cost: float
     preprocessing: tuple[EditOp, ...] = ()
+
+    @classmethod
+    def _deferred(cls, steps: list[tuple], costs: list[float]) -> EditPath:
+        """The path of ops ``EditOp(*step, cost)``, built when first read,
+        and total ``math.fsum(costs)``."""
+        path = cls.__new__(cls)
+        object.__setattr__(path, "_pending", (steps, costs))
+        object.__setattr__(path, "total_cost", math.fsum(costs))
+        return path
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: a deferred path's unbuilt ops
+        pending = self.__dict__.get("_pending") if name == "ops" else None
+        if pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = tuple(EditOp(*step, cost) for step, cost in zip(*pending))
+        object.__setattr__(self, "ops", ops)
+        self.__dict__.pop("_pending", None)
+        return ops
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -149,28 +173,25 @@ def path_from_mapping(
     Mapped vertices are substituted, the rest of g1 deleted and the rest of
     g2 inserted; every edge operation follows from the node decisions.
     ValueError unless the mapping is injective from g1's vertices into g2's.
+    The ops are walked and priced once; ``EditOp``s are built from that walk
+    only when the path's ``ops`` are first read.
     """
     used = set(mapping.values())
     if len(used) != len(mapping):
         raise ValueError("mapping is not injective")
     if not (mapping.keys() <= g1.node_labels.keys() and used <= g2.node_labels.keys()):
         raise ValueError("mapping names vertices the graphs do not have")
-    ops = []
-
-    def add(kind, source=None, target=None, source_label=None, target_label=None):
-        cost = _price(kind, source_label, target_label, params)
-        ops.append(EditOp(kind, source, target, source_label, target_label, cost))
-
+    steps = []  # (kind, source, target, source_label, target_label)
     labels1, labels2 = g1.node_labels, g2.node_labels
     for u in g1.vertices:
         if u in mapping:
             v = mapping[u]
-            add("node_sub", u, v, labels1[u], labels2[v])
+            steps.append(("node_sub", u, v, labels1[u], labels2[v]))
         else:
-            add("node_del", u, source_label=labels1[u])
+            steps.append(("node_del", u, None, labels1[u], None))
     for v in g2.vertices:
         if v not in used:
-            add("node_ins", target=v, target_label=labels2[v])
+            steps.append(("node_ins", None, v, None, labels2[v]))
 
     # f, the image of e, is None when an endpoint is unmapped
     image_edges = set()
@@ -179,68 +200,173 @@ def path_from_mapping(
         f = canonical_edge(mapping[a], mapping[b]) if a in mapping and b in mapping else None
         if f in g2.edge_labels:
             image_edges.add(f)
-            add("edge_sub", e, f, label, g2.edge_labels[f])
+            steps.append(("edge_sub", e, f, label, g2.edge_labels[f]))
         else:
-            add("edge_del", e, source_label=label)
+            steps.append(("edge_del", e, None, label, None))
     for f, label in g2.edge_labels.items():
         if f not in image_edges:
-            add("edge_ins", target=f, target_label=label)
+            steps.append(("edge_ins", None, f, None, label))
 
-    return EditPath(tuple(ops), math.fsum(op.cost for op in ops))
+    return EditPath._deferred(
+        steps, [_price(kind, sl, tl, params) for kind, _, _, sl, tl in steps]
+    )
+
+
+# -- per-graph search tables -------------------------------------------------
+
+
+class _Order(NamedTuple):
+    """A graph's vertices in one search order, as the g1 side of a search
+    reads them: each position's node label, the indices into ``g.edges`` of
+    its edges to earlier positions (``earlier_ids[i][q]`` for q < i, -1 for
+    no edge) and how many of those edges there are."""
+
+    vertices: tuple[int, ...]
+    labels: list
+    earlier_ids: list[list[int]]
+    earlier_edges: list[int]
+
+
+def _order(g: AttributedGraph, vertices: tuple[int, ...], ids: list[list[int]]) -> _Order:
+    earlier = [row[:i] for i, row in enumerate(ids)]
+    return _Order(
+        vertices,
+        [g.node_labels[v] for v in vertices],
+        earlier,
+        [i - row.count(-1) for i, row in enumerate(earlier)],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class EditTables:
+    """What the edit searches read of one graph alone (``edit_tables``).
+
+    ``stored`` keeps ``graph.vertices`` in their stored order, the order
+    beam search takes g1 in and both searches take g2 in; ``by_degree``
+    takes them by decreasing degree, ties by id, the exact search's order
+    for g1.  The g2 side reads positions in stored order: ``edge_ids[j][k]``
+    is the index into ``graph.edges`` of the edge between positions j and
+    k, or -1, and every row ends in a -1 that a deleted vertex (-1) reads;
+    ``edge_masks`` holds each edge's end positions and ``neighbors`` each
+    vertex's neighbor positions, as bitmasks.  In degree order,
+    ``inner[i]`` counts the edges with both ends at positions >= i and
+    ``cross[i]`` those with one end below i and the other at or above it,
+    for i = 0..n.  ``edge_labels`` follows ``graph.edges``.
+    """
+
+    graph: AttributedGraph
+    stored: _Order
+    by_degree: _Order
+    edge_labels: list
+    edge_ids: list[list[int]]
+    edge_masks: list[int]
+    neighbors: list[int]
+    inner: list[int]
+    cross: list[int]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def m(self) -> int:
+        return self.graph.m
+
+
+def edit_tables(g: AttributedGraph) -> EditTables:
+    """g's ``EditTables``: build them once and pass them to ``ged`` in place
+    of g for every pair g takes part in."""
+    n = g.n
+    by_degree = tuple(sorted(g.vertices, key=lambda u: (-g.degree(u), u)))
+    pos = {v: j for j, v in enumerate(g.vertices)}
+    rank = {u: i for i, u in enumerate(by_degree)}
+    edge_masks, neighbors = [], [0] * n
+    # lows[p] / highs[q]: edges whose lower / higher end in degree order is p / q
+    lows, highs = [0] * n, [0] * n
+    for a, b in g.edges:
+        edge_masks.append(1 << pos[a] | 1 << pos[b])
+        neighbors[pos[a]] |= 1 << pos[b]
+        neighbors[pos[b]] |= 1 << pos[a]
+        p, q = sorted((rank[a], rank[b]))
+        lows[p] += 1
+        highs[q] += 1
+    # edges with their lower / higher end below position i, for i = 0..n
+    low_below = list(itertools.accumulate(lows, initial=0))
+    high_below = list(itertools.accumulate(highs, initial=0))
+    ids = _edge_ids(g, g.vertices)
+    return EditTables(
+        graph=g,
+        stored=_order(g, g.vertices, ids),
+        by_degree=_order(g, by_degree, _edge_ids(g, by_degree)),
+        edge_labels=[g.edge_labels[e] for e in g.edges],
+        edge_ids=[row + [-1] for row in ids],
+        edge_masks=edge_masks,
+        neighbors=neighbors,
+        inner=[g.m - c for c in low_below],
+        cross=[c - d for c, d in zip(low_below, high_below)],
+    )
+
+
+def _tables_of(g) -> EditTables:
+    return g if isinstance(g, EditTables) else edit_tables(g)
+
+
+def _edge_ids(g: AttributedGraph, order) -> list[list[int]]:
+    """Edge indices into ``g.edges`` for each pair of positions in ``order``,
+    -1 for no edge."""
+    pos = {v: i for i, v in enumerate(order)}
+    n = g.n
+    ids = [[-1] * n for _ in range(n)]
+    for k, (a, b) in enumerate(g.edges):
+        ids[pos[a]][pos[b]] = ids[pos[b]][pos[a]] = k
+    return ids
 
 
 # -- exact and beam search ---------------------------------------------------
 
 
 class _SearchContext:
-    """Index tables built once per search and read by every expansion.
+    """The pair's index tables, built once per search and read by every
+    expansion; g1 and g2 are graphs or their ``EditTables``.
 
-    Positions i (into the search order ``u_list``, by default
-    ``g1.vertices``) and j (into ``g2.vertices``) stand for vertices; a
-    mapping is a tuple whose q-th entry is the g2 position of the q-th
-    vertex of ``u_list``, or -1 when that vertex is deleted.  Edge rows use
-    -1 for "no edge" too, and every -1 lands on a trailing sentinel entry,
-    so expansions never branch on edge existence.  ``delete_cost[i]`` is the
-    cost of deleting u_i on top of the processed prefix: x_node plus x_edge
-    for each of its edges into the first i vertices of ``u_list``.
+    Positions i (into the search order ``u_list``: g1's stored order, or
+    its degree order with ``by_degree``) and j (into ``g2.vertices``) stand
+    for vertices; a mapping is a tuple whose q-th entry is the g2 position
+    of the q-th vertex of ``u_list``, or -1 when that vertex is deleted.
+    Edge rows use -1 for "no edge" too, and every -1 lands on a trailing
+    sentinel entry, so expansions never branch on edge existence.
+    ``delete_cost[i]`` is the cost of deleting u_i on top of the processed
+    prefix: x_node plus x_edge for each of its edges into the first i
+    vertices of ``u_list``.
     """
 
-    def __init__(self, g1, g2, params, u_list=None):
+    def __init__(self, g1, g2, params, by_degree=False):
+        t1, t2 = _tables_of(g1), _tables_of(g2)
+        order1 = t1.by_degree if by_degree else t1.stored
         self.params = params
-        self.g1, self.g2 = g1, g2
-        self.u_list = g1.vertices if u_list is None else u_list
-        self.v_list = g2.vertices
-        n1 = self.n1 = len(self.u_list)
-        n2 = self.n2 = len(self.v_list)
-        v_labels = [g2.node_label(v) for v in self.v_list]
+        self.g1, self.g2 = t1.graph, t2.graph
+        self.u_list, self.v_list = order1.vertices, t2.stored.vertices
+        self.n1, self.n2 = t1.n, t2.n
+        v_labels = t2.stored.labels
         self.node_cost = [
-            [params.y_node * label_distance(g1.node_label(u), b) for b in v_labels]
-            for u in self.u_list
+            [params.y_node * label_distance(a, b) for b in v_labels] for a in order1.labels
         ]
         # edge_cost[a][b]: g1 edge a against g2 edge b; the trailing row and
         # column (index -1) price a lone deletion or insertion.
         edge_cost = [
-            [params.y_edge * label_distance(g1.edge_labels[e], g2.edge_labels[f])
-             for f in g2.edges] + [params.x_edge]
-            for e in g1.edges
+            [params.y_edge * label_distance(a, b) for b in t2.edge_labels] + [params.x_edge]
+            for a in t1.edge_labels
         ]
-        edge_cost.append([params.x_edge] * g2.m + [0.0])
-        # edge_rows1[i][q]: the edge_cost row of g1's pair (i, q).
-        ids1 = _edge_ids(g1, self.u_list)
-        self.edge_rows1 = [[edge_cost[a] for a in row] for row in ids1]
-        # edge_ids2[j][k]: g2's edge between j and k, or -1; entry n2 (read
-        # as index -1 by a deleted vertex) is -1.
-        self.edge_ids2 = [row + [-1] for row in _edge_ids(g2, self.v_list)]
-
-        self.delete_cost = []
-        for i in range(n1):
-            cost = params.x_node
-            for q in range(i):
-                if ids1[i][q] >= 0:
-                    cost += params.x_edge
-            self.delete_cost.append(cost)
-        pos2 = {v: j for j, v in enumerate(self.v_list)}
-        self.edge_masks2 = [1 << pos2[a] | 1 << pos2[b] for a, b in g2.edges]
+        edge_cost.append([params.x_edge] * t2.m + [0.0])
+        # edge_rows1[i][q]: the edge_cost row of g1's pair (i, q), q < i.
+        self.edge_rows1 = [[edge_cost[a] for a in row] for row in order1.earlier_ids]
+        self.edge_ids2 = t2.edge_ids
+        # x_node, then x_edge added once per earlier edge, in that order
+        steps = list(itertools.accumulate(
+            [params.x_node] + [params.x_edge] * max(order1.earlier_edges, default=0)
+        ))
+        self.delete_cost = [steps[c] for c in order1.earlier_edges]
+        self.edge_masks2 = t2.edge_masks
 
     def substitute_delta(self, mapping: tuple, i: int, j: int) -> float:
         """Cost of mapping u_i onto v_j on top of the processed prefix."""
@@ -302,13 +428,10 @@ class _ExactContext(_SearchContext):
     """
 
     def __init__(self, g1, g2, params):
-        order = sorted(g1.vertices, key=lambda u: (-g1.degree(u), u))
-        super().__init__(g1, g2, params, tuple(order))
+        t1, t2 = _tables_of(g1), _tables_of(g2)
+        super().__init__(t1, t2, params, by_degree=True)
         n1, n2, x = self.n1, self.n2, params.x_node
-        pos1 = {u: i for i, u in enumerate(self.u_list)}
-        ends = [sorted((pos1[a], pos1[b])) for a, b in g1.edges]
-        self.inner1 = [sum(p >= i for p, _ in ends) for i in range(n1 + 1)]
-        self.cross1 = [sum(p < i <= q for p, q in ends) for i in range(n1 + 1)]
+        self.inner1, self.cross1, self.nbr2 = t1.inner, t1.cross, t2.neighbors
         cheapest = [min([x, *row]) for row in self.node_cost]
         self.node_bound = []
         for i in range(n1 + 1):
@@ -317,8 +440,6 @@ class _ExactContext(_SearchContext):
                 x * abs((n2 - k) - (n1 - i)) + kept[min(n1 - i, n2 - k)]
                 for k in range(n2 + 1)
             ])
-        pos2 = {v: j for j, v in enumerate(self.v_list)}
-        self.nbr2 = [sum(1 << pos2[w] for w in g2.neighbors(v)) for v in self.v_list]
 
     def heuristic(self, i: int, used: int, free: int, cut: int) -> float:
         """Admissible bound on the cost of completing a prefix of length i
@@ -341,19 +462,9 @@ class _ExactContext(_SearchContext):
         )
 
 
-def _edge_ids(g: AttributedGraph, order) -> list[list[int]]:
-    """Edge indices into ``g.edges`` for each pair of positions in ``order``,
-    -1 for no edge."""
-    pos = {v: i for i, v in enumerate(order)}
-    ids = [[-1] * g.n for _ in range(g.n)]
-    for k, (a, b) in enumerate(g.edges):
-        ids[pos[a]][pos[b]] = ids[pos[b]][pos[a]] = k
-    return ids
-
-
 def ged(
-    g1: AttributedGraph,
-    g2: AttributedGraph,
+    g1: AttributedGraph | EditTables,
+    g2: AttributedGraph | EditTables,
     params: EditCostParams = DEFAULT_PARAMS,
     *,
     beam_width: int | None = None,
@@ -363,7 +474,8 @@ def ged(
     Exact by default (optimal over every complete edit path, in bounded
     memory but not bounded time); with ``beam_width`` = w, only w partial
     paths survive each level and the result is an upper bound that never
-    increases as w grows.
+    increases as w grows.  Either graph may be given as its ``edit_tables``,
+    with the same result; the path is priced on the graphs either way.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1")

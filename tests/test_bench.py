@@ -9,7 +9,7 @@ import pytest
 import pickle
 import random
 
-from graphmatch import bench, centrality, contraction, geometric
+from graphmatch import bench, centrality, contraction, editdist, geometric
 from graphmatch.bench import (
     BenchResult,
     MatcherSpec,
@@ -380,6 +380,72 @@ class TestKnnClassify:
             BenchResult(MatcherSpec("ged"), {"a": -1.0}, 50.0, 0.0, 0)
         with pytest.raises(ValueError):
             BenchResult(MatcherSpec("ged"), {}, 50.0, -0.1, 0)
+
+
+EDIT_SEARCH_METHODS = {
+    "ged": lambda g: g,
+    "ged-beam(2)": lambda g: g,
+    "hged": lambda g: contraction.path_contract(g)[0],
+    "kstar-ged(1)": lambda g: contraction.k_star_node_contraction(g, 1)[0],
+    "r-ged(0.5,betweenness)":
+        lambda g: centrality.r_centrality_node_contraction(g, 0.5, "betweenness")[0],
+    "t-ged(2,pagerank)": lambda g: centrality.t_centrality_node_contraction(g, 2, "pagerank")[0],
+}
+
+
+class TestEditTablesPreparation:
+    """The search matchers prepare each graph's ``EditTables`` once per kNN
+    call, and each pair step is one ``bench.ged`` call on two of them, as
+    perfbench's tracer, which wraps that name, expects."""
+
+    @staticmethod
+    def splits():
+        train = synthesize_corpus(classes=2, per_class=3, sigma=0.05, seed=13)
+        test = synthesize_corpus(
+            classes=2, per_class=2, sigma=0.05, seed=13, jitter_seed=5, name="test"
+        )
+        return train, test
+
+    @pytest.mark.parametrize("method", EDIT_SEARCH_METHODS)
+    def test_each_graph_tabled_once_per_call(self, monkeypatch, method):
+        train, test = self.splits()
+        instances = (*train.instances, *test.instances)
+        tabled = []
+        original = editdist.EditTables.__init__
+
+        def counted(self, graph, **fields):
+            tabled.append(graph)
+            original(self, graph, **fields)
+
+        monkeypatch.setattr(editdist.EditTables, "__init__", counted)
+        prepared = EDIT_SEARCH_METHODS[method]
+        expected = sorted((h.n, h.m) for h in (prepared(inst.graph) for inst in instances))
+        matcher = MatcherSpec(method)
+        knn_classify(train, test, matcher, 1)
+        assert sorted((g.n, g.m) for g in tabled) == expected
+        if method.startswith("ged"):
+            assert {id(g) for g in tabled} == {id(inst.graph) for inst in instances}
+        # nothing is kept across calls: the second call builds them again
+        knn_classify(train, test, matcher, 1)
+        assert len(tabled) == 2 * len(instances)
+
+    @pytest.mark.parametrize("method", EDIT_SEARCH_METHODS)
+    def test_pair_step_is_one_bench_ged_call(self, monkeypatch, method):
+        train, test = self.splits()
+        calls = []
+        real = bench.ged
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), kwargs, args[0].n, args[0].m, args[1].n, args[1].m))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ged", recording)
+        knn_classify(train, test, MatcherSpec(method), 1)
+        prepared = EDIT_SEARCH_METHODS[method]
+        sizes = [(h.n, h.m) for h in (prepared(inst.graph) for inst in test.instances)]
+        train_sizes = [(h.n, h.m) for h in (prepared(inst.graph) for inst in train.instances)]
+        width = {"beam_width": 2 if method == "ged-beam(2)" else None}
+        assert calls == [(3, width, *a, *b) for a in sizes for b in train_sizes]
 
 
 def labelled_graph(n, p, seed):

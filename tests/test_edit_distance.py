@@ -6,6 +6,7 @@ import heapq
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 
 from graphmatch import editdist
 from graphmatch.contraction import hged, k_star_ged
+from graphmatch.datasets import synthesize_corpus
 from graphmatch.editdist import (
     DEFAULT_PARAMS,
     _ExactContext,
@@ -25,6 +27,8 @@ from graphmatch.editdist import (
     _price,
     EditCostParams,
     EditOp,
+    EditPath,
+    edit_tables,
     ged,
     ged_bipartite,
     label_distance,
@@ -338,6 +342,139 @@ class TestPathFromMappingMatchesReference:
                 non_injective += 1
         assert len(kinds) == 6
         assert non_injective >= 300
+
+
+class TestDeferredOps:
+    """``path_from_mapping`` prices its walk at once and builds ops on first read."""
+
+    def test_no_op_is_built_until_ops_are_read(self, monkeypatch):
+        built = []
+        real_init = EditOp.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EditOp, "__init__", counting)
+        rng = random.Random(2719)
+        makers = (labeled_graph, symbol_graph, random_graph_of)
+        for _ in range(300):
+            g1 = rng.choice(makers)(rng, rng.randint(0, 6), rng.random())
+            g2 = rng.choice(makers)(rng, rng.randint(0, 6), rng.random())
+            params = random_params(rng)
+            kept = rng.sample(g1.vertices, rng.randint(0, min(g1.n, g2.n)))
+            mapping = dict(zip(kept, rng.sample(g2.vertices, len(kept))))
+            built.clear()
+            path = path_from_mapping(g1, g2, mapping, params)
+            total = path.total_cost
+            assert built == []
+            ops = path.ops
+            assert len(built) == len(ops)
+            assert path.ops is ops
+            reference = reference_path_from_mapping(g1, g2, mapping, params)
+            assert ops == reference.ops
+            assert total == reference.total_cost == math.fsum(op.cost for op in ops)
+            assert path.mapping == mapping
+        built.clear()
+        g = labeled_graph(rng, 5, 0.5)
+        assert ged(g, g).total_cost == 0.0
+        assert ged(g, g, beam_width=2).total_cost == 0.0
+        assert built == []
+
+    def test_paths_compare_copy_and_replace_as_eager_ones(self):
+        rng = random.Random(2720)
+        g1, g2 = labeled_graph(rng, 5, 0.5), symbol_graph(rng, 4, 0.5)
+        mapping = {g1.vertices[0]: g2.vertices[1], g1.vertices[2]: g2.vertices[0]}
+        reference = reference_path_from_mapping(g1, g2, mapping, DEFAULT_PARAMS)
+        eager = EditPath(reference.ops, reference.total_cost)
+        fresh = path_from_mapping(g1, g2, mapping)
+        assert pickle.loads(pickle.dumps(fresh)) == eager
+        assert fresh == eager and eager == fresh
+        assert hash(path_from_mapping(g1, g2, mapping)) == hash(eager)
+        assert repr(path_from_mapping(g1, g2, mapping)) == repr(eager)
+        assert path_from_mapping(g1, g2, mapping).mapping == mapping
+        pre = (EditOp("path_contract", (0, 1, 2), (0, 2), None, None, 0.0),)
+        moved = replace(path_from_mapping(g1, g2, mapping), preprocessing=pre)
+        assert moved == EditPath(reference.ops, reference.total_cost, pre)
+        assert moved.preprocessing == pre and fresh.preprocessing == ()
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            fresh.missing
+
+
+# -- prepared search tables ------------------------------------------------
+
+
+def table_corpora():
+    """Letter-scale and exact-scale corpora at two seeds, each as it is
+    (vector node labels, empty edge labels) and with symbol edge labels
+    and every third vertex's label emptied."""
+    for seed in (0, 1):
+        for n_range, p in (((4, 7), 0.4), ((5, 7), 0.35)):
+            corpus = synthesize_corpus(3, 2, 0.1, seed, n_range, p)
+            graphs = [inst.graph for inst in corpus.instances]
+            yield graphs
+            yield [
+                AttributedGraph(
+                    g.vertices,
+                    g.edges,
+                    {v: None if v % 3 == 0 else label for v, label in g.node_labels.items()},
+                    {e: "ab"[k % 2] for k, e in enumerate(g.edges)},
+                )
+                for g in graphs
+            ]
+
+
+class TestEditTables:
+    def test_tables_match_their_definitions(self):
+        rng = random.Random(149)
+        for _ in range(300):
+            base = random_graph(rng.randrange(8), rng.random(), seed=rng.randrange(10**9))
+            g = AttributedGraph(rng.sample(base.vertices, base.n), base.edges)
+            t = edit_tables(g)
+            assert t.by_degree.vertices == tuple(
+                sorted(g.vertices, key=lambda u: (-g.degree(u), u))
+            )
+            rank = {u: i for i, u in enumerate(t.by_degree.vertices)}
+            ends = [sorted((rank[a], rank[b])) for a, b in g.edges]
+            assert t.inner == [sum(p >= i for p, _ in ends) for i in range(g.n + 1)]
+            assert t.cross == [sum(p < i <= q for p, q in ends) for i in range(g.n + 1)]
+            pos = {v: j for j, v in enumerate(g.vertices)}
+            assert t.neighbors == [sum(1 << pos[w] for w in g.neighbors(v)) for v in g.vertices]
+            assert t.edge_masks == [1 << pos[a] | 1 << pos[b] for a, b in g.edges]
+            for order in (t.stored, t.by_degree):
+                vs = order.vertices
+                assert order.earlier_edges == [
+                    sum(g.has_edge(vs[i], vs[q]) for q in range(i)) for i in range(g.n)
+                ]
+
+    @pytest.mark.parametrize("params", [DEFAULT_PARAMS, EditCostParams(x_edge=0.3, y_node=0.7)])
+    @pytest.mark.parametrize("width", [None, 1, 10])
+    def test_tables_give_the_graphs_path(self, params, width):
+        pairs = 0
+        for graphs in table_corpora():
+            tables = [edit_tables(g) for g in graphs]
+            assert [(t.n, t.m) for t in tables] == [(g.n, g.m) for g in graphs]
+            for (a, ta), (b, tb) in itertools.product(zip(graphs, tables), repeat=2):
+                expected = ged(a, b, params, beam_width=width)
+                path = ged(ta, tb, params, beam_width=width)
+                assert path.total_cost == expected.total_cost
+                assert path.mapping == expected.mapping
+                assert path.ops == expected.ops
+                assert ged(a, tb, params, beam_width=width) == expected
+                pairs += 1
+        assert pairs == 8 * 6 * 6
+
+    @pytest.mark.parametrize("width", [None, 1, 10])
+    def test_tables_raise_the_graphs_label_error(self, width):
+        mixed = AttributedGraph([0, 1, 2], [(0, 1), (1, 2)], {0: (0.0, 1.0), 2: (1.0, 1.0)})
+        solid = AttributedGraph([0, 1], [(0, 1)], {0: (1.0, 2.0, 3.0), 1: (0.0, 0.0, 0.0)})
+        for a, b in ((mixed, solid), (solid, mixed)):
+            with pytest.raises(ValueError) as plain:
+                ged(a, b, beam_width=width)
+            with pytest.raises(ValueError) as prepared:
+                ged(edit_tables(a), edit_tables(b), beam_width=width)
+            assert str(prepared.value) == str(plain.value)
+
 
 # -- exact search --------------------------------------------------------
 
