@@ -2,9 +2,9 @@
 
 A matcher is named by a compact text form, e.g. ``ged-beam(10)`` or
 ``r-ged(0.25,pagerank)``; ``MatcherSpec`` validates the text once, prepares
-graphs (every edit matcher but ``bipartite`` as the edit tables of the graph
-or of its contraction, every ``geometric`` form, aligned or not, as its
-geometric rows) and turns pairs of prepared graphs into distances.  On top
+graphs (every edit matcher as the edit tables of the graph or of its
+contraction, every ``geometric`` form, aligned or not, as its geometric
+rows) and turns pairs of prepared graphs into distances.  On top
 of that sit a nearest-neighbor classifier with deterministic tie-breaking, a
 wall-clock timing loop, and a steepest-ascent search over the geometric
 distance weights.
@@ -79,7 +79,7 @@ class PreparedGraph:
 
     ``spec`` is the preparing matcher's (method, cost_params) and ``data``
     its per-graph result: the ``editdist.EditTables`` of the graph or of its
-    contraction, the graph itself (``bipartite``), or its geometric rows.
+    contraction, or its geometric rows.
     """
 
     spec: tuple[str, EditCostParams]
@@ -95,10 +95,10 @@ class MatcherSpec:
     0 <= r <= 1; a wrong argument count raises ValueError naming the form.
 
     A distance runs in two steps: ``prepare`` does the per-graph work once
-    (the contraction of the contracting matchers and the search tables,
-    ``edit_tables``, of every search matcher; the ``geometric_rows`` of
-    ``geometric``, aligned or not), and the pair step matches two prepared
-    graphs.  ``distance`` accepts graphs and prepared graphs alike.
+    (the contraction of the contracting matchers and the ``edit_tables``
+    of every edit matcher; the ``geometric_rows`` of ``geometric``, aligned
+    or not), and the pair step matches two prepared graphs.  ``distance``
+    accepts graphs and prepared graphs alike.
     """
 
     method: str
@@ -122,10 +122,6 @@ class MatcherSpec:
         return pair(self.prepare(g1).data, self.prepare(g2).data)
 
 
-def _unchanged(g):
-    return g
-
-
 @lru_cache(maxsize=None)
 def _compiled(method: str, p: EditCostParams):
     """(prepare, pair): the per-graph step and the pair step of a method."""
@@ -142,7 +138,7 @@ def _compiled(method: str, p: EditCostParams):
     if name in ("ged", "ged-beam"):
         return edit_tables, edit_distance(beam(0))
     if name == "bipartite":
-        return _unchanged, lambda a, b: ged_bipartite(a, b, p).total_cost
+        return edit_tables, lambda a, b: ged_bipartite(a, b, p).total_cost
     if name == "hged":
         return (lambda g: edit_tables(contraction.path_contract(g)[0])), edit_distance(beam(0))
     if name == "kstar-ged":

@@ -12,15 +12,18 @@ and insertions plus the edge operations they induce.  Costs:
 * path contraction (a preprocessing op, see the contraction module):
   z_path * d(mu(u1), mu(un)) between the chain's endpoint labels.
 
+Every edit matcher reads a graph only through its ``EditTables`` (search
+orders, labels, edge ids, bitmasks, ``incident`` edge labels), which
+``ged`` and ``ged_bipartite`` take in place of the graph or build from it
+once, at their top; only the returned path is priced on the graphs.
+
 The tree search processes g1's vertices one per level; each level either
 maps the next vertex onto an unused g2 vertex or deletes it, and leftover
-g2 vertices are inserted when a leaf is reached.  Expansions read index
-tables, never the graph objects: the per-graph ones (search orders, labels,
-edge ids, bitmasks; see ``EditTables``) are built once per graph by
-``edit_tables``, and a search builds only the pair ones (node, edge and
-deletion costs, the bound's node part).  The exact search is a depth-first
-branch and bound: it expands a node's children in order of their admissible
-bound, keeps the best complete path found so far and skips every node whose
+g2 vertices are inserted when a leaf is reached.  Expansions read the
+tables and the pair ones a search builds (node, edge and deletion costs,
+the bound's node part).  The exact search is a depth-first branch and
+bound: it expands a node's children in order of their admissible bound,
+keeps the best complete path found so far and skips every node whose
 bound reaches it, so at most n1 * (n2 + 1) nodes are open at once.  It takes
 g1's vertices by decreasing degree (ties by id), so edge costs are paid
 early and tighten the path cost.  Only the exact search builds the bound
@@ -212,7 +215,7 @@ def path_from_mapping(
     )
 
 
-# -- per-graph search tables -------------------------------------------------
+# -- per-graph edit tables ---------------------------------------------------
 
 
 class _Order(NamedTuple):
@@ -239,25 +242,28 @@ def _order(g: AttributedGraph, vertices: tuple[int, ...], ids: list[list[int]]) 
 
 @dataclass(frozen=True, eq=False)
 class EditTables:
-    """What the edit searches read of one graph alone (``edit_tables``).
+    """What every edit matcher reads of one graph alone (``edit_tables``).
 
     ``stored`` keeps ``graph.vertices`` in their stored order, the order
-    beam search takes g1 in and both searches take g2 in; ``by_degree``
-    takes them by decreasing degree, ties by id, the exact search's order
-    for g1.  The g2 side reads positions in stored order: ``edge_ids[j][k]``
-    is the index into ``graph.edges`` of the edge between positions j and
-    k, or -1, and every row ends in a -1 that a deleted vertex (-1) reads;
-    ``edge_masks`` holds each edge's end positions and ``neighbors`` each
-    vertex's neighbor positions, as bitmasks.  In degree order,
-    ``inner[i]`` counts the edges with both ends at positions >= i and
-    ``cross[i]`` those with one end below i and the other at or above it,
-    for i = 0..n.  ``edge_labels`` follows ``graph.edges``.
+    beam search and ``ged_bipartite`` take g1 in and all three take g2 in;
+    ``by_degree`` takes them by decreasing degree, ties by id, the exact
+    search's order for g1.  The g2 side reads positions in stored order:
+    ``edge_ids[j][k]`` is the index into ``graph.edges`` of the edge between
+    positions j and k, or -1, and every row ends in a -1 that a deleted
+    vertex (-1) reads; ``edge_masks`` holds each edge's end positions and
+    ``neighbors`` each vertex's neighbor positions, as bitmasks.  In degree
+    order, ``inner[i]`` counts the edges with both ends at positions >= i
+    and ``cross[i]`` those with one end below i and the other at or above
+    it, for i = 0..n.  ``edge_labels`` follows ``graph.edges``;
+    ``incident[j]`` lists the labels of position j's edges in
+    ``graph.neighbors`` order.
     """
 
     graph: AttributedGraph
     stored: _Order
     by_degree: _Order
     edge_labels: list
+    incident: list[list]
     edge_ids: list[list[int]]
     edge_masks: list[int]
     neighbors: list[int]
@@ -274,8 +280,8 @@ class EditTables:
 
 
 def edit_tables(g: AttributedGraph) -> EditTables:
-    """g's ``EditTables``: build them once and pass them to ``ged`` in place
-    of g for every pair g takes part in."""
+    """g's ``EditTables``: build them once and pass them to ``ged`` or
+    ``ged_bipartite`` in place of g for every pair g takes part in."""
     n = g.n
     by_degree = tuple(sorted(g.vertices, key=lambda u: (-g.degree(u), u)))
     pos = {v: j for j, v in enumerate(g.vertices)}
@@ -299,6 +305,7 @@ def edit_tables(g: AttributedGraph) -> EditTables:
         stored=_order(g, g.vertices, ids),
         by_degree=_order(g, by_degree, _edge_ids(g, by_degree)),
         edge_labels=[g.edge_labels[e] for e in g.edges],
+        incident=[[g.edge_label(u, w) for w in g.neighbors(u)] for u in g.vertices],
         edge_ids=[row + [-1] for row in ids],
         edge_masks=edge_masks,
         neighbors=neighbors,
@@ -326,8 +333,8 @@ def _edge_ids(g: AttributedGraph, order) -> list[list[int]]:
 
 
 class _SearchContext:
-    """The pair's index tables, built once per search and read by every
-    expansion; g1 and g2 are graphs or their ``EditTables``.
+    """The pair's index tables, built once per search from the two graphs'
+    ``EditTables`` and read by every expansion.
 
     Positions i (into the search order ``u_list``: g1's stored order, or
     its degree order with ``by_degree``) and j (into ``g2.vertices``) stand
@@ -340,8 +347,7 @@ class _SearchContext:
     vertices of ``u_list``.
     """
 
-    def __init__(self, g1, g2, params, by_degree=False):
-        t1, t2 = _tables_of(g1), _tables_of(g2)
+    def __init__(self, t1: EditTables, t2: EditTables, params, by_degree=False):
         order1 = t1.by_degree if by_degree else t1.stored
         self.params = params
         self.g1, self.g2 = t1.graph, t2.graph
@@ -427,8 +433,7 @@ class _ExactContext(_SearchContext):
     count.
     """
 
-    def __init__(self, g1, g2, params):
-        t1, t2 = _tables_of(g1), _tables_of(g2)
+    def __init__(self, t1: EditTables, t2: EditTables, params):
         super().__init__(t1, t2, params, by_degree=True)
         n1, n2, x = self.n1, self.n2, params.x_node
         self.inner1, self.cross1, self.nbr2 = t1.inner, t1.cross, t2.neighbors
@@ -475,13 +480,14 @@ def ged(
     memory but not bounded time); with ``beam_width`` = w, only w partial
     paths survive each level and the result is an upper bound that never
     increases as w grows.  Either graph may be given as its ``edit_tables``,
-    with the same result; the path is priced on the graphs either way.
+    with the same path; the path is priced on the graphs either way.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1")
+    t1, t2 = _tables_of(g1), _tables_of(g2)
     if beam_width is not None:
-        return _beam(_SearchContext(g1, g2, params), beam_width)
-    return _branch_and_bound(_ExactContext(g1, g2, params))
+        return _beam(_SearchContext(t1, t2, params), beam_width)
+    return _branch_and_bound(_ExactContext(t1, t2, params))
 
 
 def _branch_and_bound(ctx: _ExactContext) -> EditPath:
@@ -562,11 +568,6 @@ def _beam(ctx: _SearchContext, width: int) -> EditPath:
 # -- bipartite approximation -------------------------------------------------
 
 
-def _incident_labels(g: AttributedGraph) -> list[list]:
-    """Each vertex's incident edge labels, in vertex and neighbor order."""
-    return [[g.edge_label(u, w) for w in g.neighbors(u)] for u in g.vertices]
-
-
 def _local_edge_cost(l1, l2, params) -> float:
     """Optimal assignment between two vertices' incident edge label lists."""
     d1, d2 = len(l1), len(l2)
@@ -585,8 +586,8 @@ def _local_edge_cost(l1, l2, params) -> float:
 
 
 def ged_bipartite(
-    g1: AttributedGraph,
-    g2: AttributedGraph,
+    g1: AttributedGraph | EditTables,
+    g2: AttributedGraph | EditTables,
     params: EditCostParams = DEFAULT_PARAMS,
 ) -> EditPath:
     """Bipartite approximation of the edit distance.
@@ -595,26 +596,23 @@ def ged_bipartite(
     entries combine node label costs with the optimal matching of the local
     edge structures, then prices the complete edit path induced by the node
     assignment.  The result is always attainable, hence an upper bound on
-    the exact distance.
+    the exact distance.  Either graph may be given as its ``edit_tables``,
+    with the same path; the path is priced on the graphs either way.
     """
-    n1, n2 = g1.n, g2.n
+    t1, t2 = _tables_of(g1), _tables_of(g2)
+    n1, n2 = t1.n, t2.n
     size = n1 + n2
     cost = np.full((size, size), np.inf)
-    incident1, incident2 = _incident_labels(g1), _incident_labels(g2)
-    for i, u in enumerate(g1.vertices):
-        for j, v in enumerate(g2.vertices):
-            cost[i, j] = params.y_node * label_distance(
-                g1.node_label(u), g2.node_label(v)
-            ) + _local_edge_cost(incident1[i], incident2[j], params)
-        cost[i, n2 + i] = params.x_node + params.x_edge * g1.degree(u)
-    for j, v in enumerate(g2.vertices):
-        cost[n1 + j, j] = params.x_node + params.x_edge * g2.degree(v)
+    for i, (a, edges1) in enumerate(zip(t1.stored.labels, t1.incident)):
+        for j, (b, edges2) in enumerate(zip(t2.stored.labels, t2.incident)):
+            local = _local_edge_cost(edges1, edges2, params)
+            cost[i, j] = params.y_node * label_distance(a, b) + local
+        cost[i, n2 + i] = params.x_node + params.x_edge * len(edges1)
+    for j, edges2 in enumerate(t2.incident):
+        cost[n1 + j, j] = params.x_node + params.x_edge * len(edges2)
     cost[n1:, n2:] = 0.0
 
     assignment = solve_lsap(cost)
-    mapping = {
-        g1.vertices[i]: g2.vertices[j]
-        for i, j in assignment.pairs
-        if i < n1 and j < n2
-    }
-    return path_from_mapping(g1, g2, mapping, params)
+    u_list, v_list = t1.stored.vertices, t2.stored.vertices
+    mapping = {u_list[i]: v_list[j] for i, j in assignment.pairs if i < n1 and j < n2}
+    return path_from_mapping(t1.graph, t2.graph, mapping, params)

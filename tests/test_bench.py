@@ -382,9 +382,10 @@ class TestKnnClassify:
             BenchResult(MatcherSpec("ged"), {}, 50.0, -0.1, 0)
 
 
-EDIT_SEARCH_METHODS = {
+EDIT_METHODS = {
     "ged": lambda g: g,
     "ged-beam(2)": lambda g: g,
+    "bipartite": lambda g: g,
     "hged": lambda g: contraction.path_contract(g)[0],
     "kstar-ged(1)": lambda g: contraction.k_star_node_contraction(g, 1)[0],
     "r-ged(0.5,betweenness)":
@@ -394,9 +395,10 @@ EDIT_SEARCH_METHODS = {
 
 
 class TestEditTablesPreparation:
-    """The search matchers prepare each graph's ``EditTables`` once per kNN
-    call, and each pair step is one ``bench.ged`` call on two of them, as
-    perfbench's tracer, which wraps that name, expects."""
+    """The edit matchers prepare each graph's ``EditTables`` once per kNN
+    call, and each pair step is one ``bench.ged`` call on two of them
+    (``bench.ged_bipartite`` for ``bipartite``), as perfbench's tracer, which
+    wraps those names, expects."""
 
     @staticmethod
     def splits():
@@ -406,7 +408,7 @@ class TestEditTablesPreparation:
         )
         return train, test
 
-    @pytest.mark.parametrize("method", EDIT_SEARCH_METHODS)
+    @pytest.mark.parametrize("method", EDIT_METHODS)
     def test_each_graph_tabled_once_per_call(self, monkeypatch, method):
         train, test = self.splits()
         instances = (*train.instances, *test.instances)
@@ -418,33 +420,37 @@ class TestEditTablesPreparation:
             original(self, graph, **fields)
 
         monkeypatch.setattr(editdist.EditTables, "__init__", counted)
-        prepared = EDIT_SEARCH_METHODS[method]
+        prepared = EDIT_METHODS[method]
         expected = sorted((h.n, h.m) for h in (prepared(inst.graph) for inst in instances))
         matcher = MatcherSpec(method)
         knn_classify(train, test, matcher, 1)
         assert sorted((g.n, g.m) for g in tabled) == expected
-        if method.startswith("ged"):
+        if method in ("ged", "ged-beam(2)", "bipartite"):
             assert {id(g) for g in tabled} == {id(inst.graph) for inst in instances}
         # nothing is kept across calls: the second call builds them again
         knn_classify(train, test, matcher, 1)
         assert len(tabled) == 2 * len(instances)
 
-    @pytest.mark.parametrize("method", EDIT_SEARCH_METHODS)
+    @pytest.mark.parametrize("method", EDIT_METHODS)
     def test_pair_step_is_one_bench_ged_call(self, monkeypatch, method):
         train, test = self.splits()
         calls = []
-        real = bench.ged
+        name = "ged_bipartite" if method == "bipartite" else "ged"
+        real = getattr(bench, name)
 
         def recording(*args, **kwargs):
             calls.append((len(args), kwargs, args[0].n, args[0].m, args[1].n, args[1].m))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bench, "ged", recording)
+        monkeypatch.setattr(bench, name, recording)
         knn_classify(train, test, MatcherSpec(method), 1)
-        prepared = EDIT_SEARCH_METHODS[method]
+        prepared = EDIT_METHODS[method]
         sizes = [(h.n, h.m) for h in (prepared(inst.graph) for inst in test.instances)]
         train_sizes = [(h.n, h.m) for h in (prepared(inst.graph) for inst in train.instances)]
-        width = {"beam_width": 2 if method == "ged-beam(2)" else None}
+        if method == "bipartite":
+            width = {}
+        else:
+            width = {"beam_width": 2 if method == "ged-beam(2)" else None}
         assert calls == [(3, width, *a, *b) for a in sizes for b in train_sizes]
 
 

@@ -429,7 +429,11 @@ class TestEditTables:
         rng = random.Random(149)
         for _ in range(300):
             base = random_graph(rng.randrange(8), rng.random(), seed=rng.randrange(10**9))
-            g = AttributedGraph(rng.sample(base.vertices, base.n), base.edges)
+            g = AttributedGraph(
+                rng.sample(base.vertices, base.n),
+                base.edges,
+                edge_labels={e: str(k) for k, e in enumerate(base.edges)},
+            )
             t = edit_tables(g)
             assert t.by_degree.vertices == tuple(
                 sorted(g.vertices, key=lambda u: (-g.degree(u), u))
@@ -441,6 +445,7 @@ class TestEditTables:
             pos = {v: j for j, v in enumerate(g.vertices)}
             assert t.neighbors == [sum(1 << pos[w] for w in g.neighbors(v)) for v in g.vertices]
             assert t.edge_masks == [1 << pos[a] | 1 << pos[b] for a, b in g.edges]
+            assert t.incident == [[g.edge_label(v, w) for w in g.neighbors(v)] for v in g.vertices]
             for order in (t.stored, t.by_degree):
                 vs = order.vertices
                 assert order.earlier_edges == [
@@ -461,6 +466,11 @@ class TestEditTables:
                 assert path.mapping == expected.mapping
                 assert path.ops == expected.ops
                 assert ged(a, tb, params, beam_width=width) == expected
+                if width is None:  # the bipartite approximation has no width
+                    expected = ged_bipartite(a, b, params)
+                    assert ged_bipartite(ta, tb, params) == expected
+                    assert ged_bipartite(ta, b, params) == expected
+                    assert ged_bipartite(a, tb, params) == expected
                 pairs += 1
         assert pairs == 8 * 6 * 6
 
@@ -692,7 +702,7 @@ class TestSearchBound:
             for _ in range(20):
                 g1 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(1, 6), 0.5)
-                ctx = _SearchContext(g1, g2, params)
+                ctx = _SearchContext(edit_tables(g1), edit_tables(g2), params)
                 for i in range(g1.n):
                     mapping = tuple(rng.randrange(-1, g2.n) for _ in range(i))
                     for j in range(g2.n):
@@ -722,12 +732,12 @@ class TestSearchBound:
             for _ in range(80):
                 g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
-                ctx = _ExactContext(g1, g2, params)
+                ctx = _ExactContext(edit_tables(g1), edit_tables(g2), params)
                 _enumerate_prefixes(ctx, check)
         for _ in range(80):
             g1 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
             g2 = random_graph(rng.randrange(3, 6), 0.5, seed=rng.randrange(10**9))
-            ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
+            ctx = _ExactContext(edit_tables(g1), edit_tables(g2), DEFAULT_PARAMS)
             best = _enumerate_prefixes(ctx, check)
             assert best == pytest.approx(oracle_ged(g1, g2))
         assert checked > 100_000
@@ -748,7 +758,7 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(3, 6), 0.5)
-                ctx = _ExactContext(g1, g2, params)
+                ctx = _ExactContext(edit_tables(g1), edit_tables(g2), params)
                 _enumerate_prefixes(ctx, check)
         assert 0 < tighter < checked
 
@@ -767,7 +777,9 @@ class TestSearchBound:
             for _ in range(30):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                root = _ExactContext(g1, g2, params).heuristic(0, 0, g2.m, 0)
+                root = _ExactContext(edit_tables(g1), edit_tables(g2), params).heuristic(
+                    0, 0, g2.m, 0
+                )
                 exact = ged(g1, g2, params).total_cost
                 assert root <= exact + 1e-9
                 assert exact <= ged_bipartite(g1, g2, params).total_cost + 1e-9
@@ -778,7 +790,7 @@ class TestSearchBound:
             for _ in range(40):
                 g1 = labeled_graph(rng, rng.randrange(7), 0.5)
                 g2 = labeled_graph(rng, rng.randrange(7), 0.5)
-                ctx = _ExactContext(g1, g2, params)
+                ctx = _ExactContext(edit_tables(g1), edit_tables(g2), params)
                 assert len(ctx.node_bound) == g1.n + 1
                 for i, row in enumerate(ctx.node_bound):
                     assert len(row) == g2.n + 1
@@ -791,7 +803,7 @@ class TestSearchBound:
         for _ in range(40):
             g1 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
             g2 = labeled_graph(rng, rng.randrange(3, 7), 0.5)
-            ctx = _ExactContext(g1, g2, DEFAULT_PARAMS)
+            ctx = _ExactContext(edit_tables(g1), edit_tables(g2), DEFAULT_PARAMS)
             label_aware += ctx.heuristic(0, 0, g2.m, 0)
             ctx.node_bound = _count_table(ctx)
             count += ctx.heuristic(0, 0, g2.m, 0)
@@ -1066,14 +1078,14 @@ class TestDegreeOrderMatchesReference:
 
     def test_exact_search_takes_vertices_by_degree(self):
         for g1, g2, params in differential_pairs(151, 100):
-            ctx = _ExactContext(g1, g2, params)
+            ctx = _ExactContext(edit_tables(g1), edit_tables(g2), params)
             assert sorted(ctx.u_list) == sorted(g1.vertices)
             keys = [(-g1.degree(u), u) for u in ctx.u_list]
             assert keys == sorted(keys)
 
     def test_beam_keeps_stored_order_and_totals(self):
         for g1, g2, params in differential_pairs(157, 150):
-            assert _SearchContext(g1, g2, params).u_list == g1.vertices
+            assert _SearchContext(edit_tables(g1), edit_tables(g2), params).u_list == g1.vertices
             for w in (1, 3, 10):
                 path = ged(g1, g2, params, beam_width=w)
                 expected = reference_beam(ReferenceSearch(g1, g2, params), w)
@@ -1092,7 +1104,9 @@ class TestBranchAndBoundMatchesAStar:
         tied = 0
         for g1, g2, _ in differential_pairs(149, 150):
             path = ged(g1, g2)
-            expected = reference_degree_astar(_ExactContext(g1, g2, DEFAULT_PARAMS))
+            expected = reference_degree_astar(
+                _ExactContext(edit_tables(g1), edit_tables(g2), DEFAULT_PARAMS)
+            )
             assert path.total_cost == expected.total_cost
             if path.mapping == expected.mapping:
                 assert path.ops == expected.ops
@@ -1105,7 +1119,9 @@ class TestBranchAndBoundMatchesAStar:
         tied = 0
         for g1, g2, params in differential_pairs(151, 150):
             path = ged(g1, g2, params)
-            expected = reference_degree_astar(_ExactContext(g1, g2, params))
+            expected = reference_degree_astar(
+                _ExactContext(edit_tables(g1), edit_tables(g2), params)
+            )
             assert path.total_cost == expected.total_cost
             if path.mapping == expected.mapping:
                 assert path.ops == expected.ops
