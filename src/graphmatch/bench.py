@@ -406,23 +406,28 @@ def _weight_free_pairs(train_rows, validation_rows, align):
     ]
 
 
-def _weighted_accuracy(train, validation, pairs, weights):
-    """1-NN validation accuracy, voting exactly as ``knn_classify`` does.
+def _weighted_accuracies(train, validation, pairs, candidates):
+    """The 1-NN validation accuracy of each weight vector in ``candidates``,
+    voting exactly as ``knn_classify`` does, in one pass over the pairs.
 
-    ``pairs`` is ``_weight_free_pairs``'s.  Each pair costs one distance call
-    on its equal-size rows with w1 = 0, the edge terms alone, plus w1 * vd:
-    the distance ``geometric_graph_distance`` returns under ``weights``, bit
-    for bit.
+    ``pairs`` is ``_weight_free_pairs``'s.  Each pair builds its weight-free
+    edge terms (``geometric._edge_terms``) once, then costs one distance call
+    per weight vector on its equal-size rows and those terms, with w1 = 0,
+    plus w1 * vd: the distance ``geometric_graph_distance`` returns under
+    that vector, bit for bit.  The terms are dropped before the next pair.
     """
-    edge_weights = DistanceWeights(0.0, weights.w2, weights.w3, weights.w4)
-    correct = 0
+    edge_weights = [DistanceWeights(0.0, w.w2, w.w3, w.w4) for w in candidates]
+    correct = [0] * len(candidates)
     for inst, row in zip(validation.instances, pairs):
-        distances = [
-            weights.w1 * vd + geometric_graph_distance(r1, r2, edge_weights) for r1, r2, vd in row
-        ]
-        if _vote(distances, train, 1) == inst.class_label:
-            correct += 1
-    return correct / len(validation.instances)
+        distances = [[] for _ in candidates]
+        for r1, r2, vd in row:
+            terms = geometric._edge_terms(r1.edges, r2.edges)
+            for out, w, edge_w in zip(distances, candidates, edge_weights):
+                out.append(w.w1 * vd + geometric_graph_distance(r1, r2, edge_w, terms=terms))
+        for k, row_distances in enumerate(distances):
+            if _vote(row_distances, train, 1) == inst.class_label:
+                correct[k] += 1
+    return [c / len(validation.instances) for c in correct]
 
 
 def tune_weights(
@@ -442,9 +447,12 @@ def tune_weights(
     Each train and validation graph is prepared once per call (its
     ``geometric_rows``).  Each (validation, train) pair is then padded, and
     aligned when ``align`` is set, once per call, and its vertex distance
-    solved once; every weight vector re-scores only the pair's edge
-    assignment.  With ``align`` the call so holds one aligned row set per
-    pair until it returns; nothing prepared outlives the call.
+    solved once.  The start and then each step's moves are scored in one
+    pass over the pairs (``_weighted_accuracies``): per pass a pair builds
+    its edge terms once and every weight vector re-weights them and solves
+    only the edge assignment.  With ``align`` the call so holds one aligned
+    row set per pair until it returns; a pair's terms live for one pass
+    over that pair, and nothing prepared outlives the call.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")
@@ -454,21 +462,21 @@ def tune_weights(
     prepared = [[rows(inst.graph) for inst in split.instances] for split in (train, validation)]
     pairs = _weight_free_pairs(*prepared, align)
     current = _normalized(start.as_tuple())
-    current_accuracy = _weighted_accuracy(train, validation, pairs, current)
+    [current_accuracy] = _weighted_accuracies(train, validation, pairs, [current])
     while True:
-        best_move = None
+        candidates = []
         for i in range(4):
             for step in (delta, -delta):
                 moved = list(current.as_tuple())
                 moved[i] += step
-                if moved[i] < 0 or not any(moved):
-                    continue
-                candidate = _normalized(moved)
-                accuracy = _weighted_accuracy(train, validation, pairs, candidate)
-                if accuracy > current_accuracy and (
-                    best_move is None or accuracy > best_move[0]
-                ):
-                    best_move = (accuracy, candidate)
+                if moved[i] >= 0 and any(moved):
+                    candidates.append(_normalized(moved))
+        best_move = None
+        for candidate, accuracy in zip(
+            candidates, _weighted_accuracies(train, validation, pairs, candidates)
+        ):
+            if accuracy > current_accuracy and (best_move is None or accuracy > best_move[0]):
+                best_move = (accuracy, candidate)
         if best_move is None:
             return current
         current_accuracy, current = best_move

@@ -19,7 +19,11 @@ the (., 1, 1, 1) setting; GD and GDM add VD at w1 = 1.  Weights of 1 and 0
 are exact, so these equal the weighted distance bit for bit.  At w1 = 0, the
 ED/EDM-style settings, ``geometric_graph_distance`` solves no vertex
 assignment: VD is finite, so 0 * VD adds exactly nothing.  Every vertex
-assignment goes through one helper, ``_vertex_assignment``.
+assignment goes through one helper, ``_vertex_assignment``.  E^A, E^L and
+E^P read no weight: ``_edge_terms`` is the one place they are computed and
+``_weighted`` the one place they are weighted, so a caller scoring one pair
+under many weight vectors (``bench.tune_weights``) builds the pair's terms
+once and hands them to ``geometric_graph_distance`` as ``terms``.
 
 Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
@@ -131,18 +135,31 @@ _ED_WEIGHTS = DistanceWeights(w4=0.0)
 _EDM_WEIGHTS = DistanceWeights()
 
 
-def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
-    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of feature rows (the one
-    place these terms are computed).
+def _edge_terms(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E^A, E^L, E^P) for every pair of feature rows, the angle in radians:
+    the one place these terms are computed.  None of them reads a weight.
 
     ``a`` is (..., m, 6) and ``b`` is (..., m', 6) with broadcastable leading
-    axes; the result is (..., m, m').
+    axes; each term is (..., m, m').
     """
     d = a[..., :, None, :] - b[..., None, :, :]
     angle = np.abs(d[..., 0]) * math.pi / 180.0
     length = np.abs(d[..., 1])
     position = (np.hypot(d[..., 2], d[..., 3]) + np.hypot(d[..., 4], d[..., 5])) / 2.0
+    return angle, length, position
+
+
+def _weighted(terms, weights: DistanceWeights) -> np.ndarray:
+    """w2 * E^A + w3 * E^L + w4 * E^P of ``_edge_terms``' terms: the one place
+    they are weighted."""
+    angle, length, position = terms
     return weights.w2 * angle + weights.w3 * length + weights.w4 * position
+
+
+def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
+    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of feature rows, shaped
+    as ``_edge_terms``' terms."""
+    return _weighted(_edge_terms(a, b), weights)
 
 
 def _transport_bound(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
@@ -584,6 +601,8 @@ def geometric_graph_distance(
     g2: GeometricGraph | GeometricRows,
     weights: DistanceWeights = DistanceWeights(),
     align: bool = False,
+    *,
+    terms=None,
 ) -> float:
     """Weighted geometric distance between arbitrary plane graphs.
 
@@ -595,7 +614,21 @@ def geometric_graph_distance(
     for bit.  Both graphs must be GeometricGraphs (ValueError otherwise);
     either may be given as its ``geometric_rows``, with the same result bit
     for bit, so that a graph matched many times is prepared once.
+
+    ``terms``, when given, are the ``_edge_terms`` of the pair's padded
+    feature rows, so that a caller scoring one pair under many weight
+    vectors builds them once; only their weighting and the edge assignment
+    run per call, and the result is the same bit for bit.  Terms of another
+    shape, or terms together with ``align``, raise ValueError.
     """
+    if terms is not None and align:
+        raise ValueError("edge terms cannot be given for an aligned pair")
     r1, r2 = _pair(g1, g2, "edm" if align else None)
+    if terms is None:
+        terms = _edge_terms(r1.edges, r2.edges)
+    else:
+        angle, length, position = terms
+        if not angle.shape == length.shape == position.shape == (len(r1.edges), len(r2.edges)):
+            raise ValueError(f"edge terms do not fit the padded pair's {len(r1.edges)} slots")
     vd = _vertex_assignment(r1.coords, r2.coords).total_cost if weights.w1 else 0.0
-    return weights.w1 * vd + solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights)).total_cost
+    return weights.w1 * vd + solve_lsap(_weighted(terms, weights)).total_cost

@@ -146,3 +146,21 @@ def test_odd_pair_count_rejected_before_any_git_call(monkeypatch, tmp_path):
                        "--out", str(tmp_path / "ab.json")])
     assert info.value.code == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "letterknn"], "unknown --workload 'letterknn'"),
+    (["--workload", "exact-ged", "--seed", "-1"], "must be >= 0"),
+    (["--workload", "exact-ged", "--holdout-seed", "-2"], "must be >= 0"),
+])
+def test_unknown_workload_and_negative_seeds_rejected_before_any_git_call(
+    monkeypatch, tmp_path, capsys, argv, message
+):
+    calls = []
+    monkeypatch.setattr(ab_bench, "git", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as info:
+        ab_bench.main([*argv, "--pairs", "2", "--seconds", "1",
+                       "--out", str(tmp_path / "ab.json")])
+    assert info.value.code == 2
+    assert calls == []
+    assert message in capsys.readouterr().err

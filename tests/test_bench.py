@@ -8,6 +8,7 @@ import pytest
 
 import pickle
 import random
+from collections import Counter
 
 from graphmatch import bench, centrality, contraction, editdist, geometric
 from graphmatch.bench import (
@@ -880,8 +881,10 @@ class TestTuneOnPreparedRows:
 
 class TestTuneOnWeightFreePairs:
     """tune_weights pads, aligns and solves the vertex assignment once per
-    pair; each weight vector then costs one edge-only distance call per pair
-    through ``bench.geometric_graph_distance``."""
+    pair.  The start and then each step's moves are scored in one pass over
+    the pairs; per pass a pair builds its edge terms once, and each weight
+    vector costs one edge-only distance call on them through
+    ``bench.geometric_graph_distance``."""
 
     ZERO_VERTEX_WEIGHTS = (
         DistanceWeights(0.0, 0.23, 0.11, 0.31),
@@ -905,27 +908,32 @@ class TestTuneOnWeightFreePairs:
     def test_one_edge_only_call_per_weight_vector_and_pair(self, monkeypatch, align):
         train, validation = tune_corpus(3)
         calls, evaluated = [], []
-        distance, accuracy = bench.geometric_graph_distance, bench._weighted_accuracy
+        distance, accuracies = bench.geometric_graph_distance, bench._weighted_accuracies
 
-        def counted_distance(a, b, weights=DistanceWeights(), align=False):
-            calls.append((a, b, weights, align))
-            return distance(a, b, weights, align=align)
+        def counted_distance(a, b, weights=DistanceWeights(), align=False, *, terms=None):
+            calls.append((a, b, weights, align, terms))
+            return distance(a, b, weights, align=align, terms=terms)
 
-        def counted_accuracy(*args):
-            evaluated.append(args[-1])
-            return accuracy(*args)
+        def counted_accuracies(*args):
+            evaluated.extend(args[-1])
+            return accuracies(*args)
 
         monkeypatch.setattr(bench, "geometric_graph_distance", counted_distance)
-        monkeypatch.setattr(bench, "_weighted_accuracy", counted_accuracy)
+        monkeypatch.setattr(bench, "_weighted_accuracies", counted_accuracies)
         tune_weights(train, validation, delta=0.2, align=align)
         pairs = len(train.instances) * len(validation.instances)
         assert len(evaluated) > 1
         assert len(calls) == len(evaluated) * pairs
-        for k, (a, b, weights, aligned) in enumerate(calls):
+        # a pass interleaves its vectors pair by pair: count calls per vector
+        expected = Counter()
+        for w in evaluated:
+            expected[DistanceWeights(0.0, *w.as_tuple()[1:])] += pairs
+        assert Counter(weights for _, _, weights, _, _ in calls) == expected
+        for a, b, weights, aligned, terms in calls:
             assert isinstance(a, GeometricRows) and isinstance(b, GeometricRows)
             assert a.coords.shape == b.coords.shape and a.edges.shape == b.edges.shape
             assert not aligned
-            assert weights == DistanceWeights(0.0, *evaluated[k // pairs].as_tuple()[1:])
+            assert [t.shape for t in terms] == [(len(a.edges), len(b.edges))] * 3
 
     @pytest.mark.parametrize("align", [False, True])
     def test_pair_work_runs_once_per_pair(self, monkeypatch, align):
@@ -954,6 +962,55 @@ class TestTuneOnWeightFreePairs:
                     assert got == geometric_graph_distance(
                         inst.graph, other.graph, weights, align=align
                     )
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_pair_terms_give_the_full_distance(self, align):
+        train, validation = tune_corpus(5)
+        rows = [[geometric_rows(i.graph) for i in s.instances] for s in (train, validation)]
+        pairs = bench._weight_free_pairs(*rows, align)
+        for inst, row in zip(validation.instances, pairs):
+            for other, (r1, r2, vd) in zip(train.instances, row):
+                terms = geometric._edge_terms(r1.edges, r2.edges)
+                for weights in (DistanceWeights(0.35, 0.23, 0.11, 0.31), DistanceWeights()):
+                    edge_weights = DistanceWeights(0.0, *weights.as_tuple()[1:])
+                    got = weights.w1 * vd + geometric_graph_distance(
+                        r1, r2, edge_weights, terms=terms
+                    )
+                    assert got == geometric_graph_distance(
+                        inst.graph, other.graph, weights, align=align
+                    )
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_edge_terms_built_once_per_pass_and_pair(self, monkeypatch, align):
+        train, validation = tune_corpus(3)
+        built, per_pass, calls = [], [], []
+        terms, accuracies = geometric._edge_terms, bench._weighted_accuracies
+        distance = bench.geometric_graph_distance
+
+        def counted_terms(a, b):
+            built.append(1)
+            return terms(a, b)
+
+        def counted_accuracies(*args):
+            before = len(built)
+            result = accuracies(*args)
+            per_pass.append(len(built) - before)
+            return result
+
+        def counted_distance(*args, **kwargs):
+            calls.append(1)
+            return distance(*args, **kwargs)
+
+        monkeypatch.setattr(geometric, "_edge_terms", counted_terms)
+        monkeypatch.setattr(bench, "_weighted_accuracies", counted_accuracies)
+        monkeypatch.setattr(bench, "geometric_graph_distance", counted_distance)
+        tune_weights(train, validation, delta=0.2, align=align)
+        pairs = len(train.instances) * len(validation.instances)
+        assert len(per_pass) > 1
+        assert per_pass == [pairs] * len(per_pass)
+        if not align:  # alignment builds its own candidates' terms before the passes
+            assert len(built) == len(per_pass) * pairs
+        assert sum(per_pass) < len(calls)
 
     @pytest.mark.parametrize("seed", [2, 3, 5])
     def test_zero_vertex_weight_builds_no_vertex_costs(self, monkeypatch, seed):

@@ -252,6 +252,59 @@ class TestTransportBound:
                     assert bound == _transport_bound(a, rows, w)
 
 
+def reference_edge_terms(a, b):
+    """E^A, E^L and E^P as the one-step edge cost kernel computed them."""
+    d = a[..., :, None, :] - b[..., None, :, :]
+    angle = np.abs(d[..., 0]) * math.pi / 180.0
+    length = np.abs(d[..., 1])
+    position = (np.hypot(d[..., 2], d[..., 3]) + np.hypot(d[..., 4], d[..., 5])) / 2.0
+    return angle, length, position
+
+
+def reference_edge_cost_matrix(a, b, weights):
+    angle, length, position = reference_edge_terms(a, b)
+    return weights.w2 * angle + weights.w3 * length + weights.w4 * position
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestEdgeTerms:
+    """The weight-free terms and their weighting split the one-step kernel
+    without moving a bit."""
+
+    @staticmethod
+    def row_pairs():
+        """2-D rows of equal and unequal slot counts, the alignment's (slots, 6)
+        against (C, slots, 6), and pairs with no slot on one side or both."""
+        for a, b in TestTransportBound.row_sets():
+            yield a, b[0]
+            yield a[: max(len(a) - 2, 0)], b[0]
+            yield a, b
+            yield a[:0], b[0][:0]
+            yield a[:0], b[0]
+            yield a, b[:, :0]
+
+    def test_terms_equal_the_one_step_kernel(self):
+        checked = 0
+        for a, b in self.row_pairs():
+            got, want = geometric._edge_terms(a, b), reference_edge_terms(a, b)
+            assert len(got) == 3
+            assert all(same_bits(x, y) for x, y in zip(got, want))
+            checked += 1
+        assert checked >= 300
+
+    def test_weighted_terms_equal_the_one_step_kernel(self):
+        sizes = set()
+        for a, b in self.row_pairs():
+            for w in TestTransportBound.weights():
+                got = _edge_cost_matrix(a, b, w)
+                assert same_bits(got, reference_edge_cost_matrix(a, b, w))
+                sizes.add(got.size)
+        assert 0 in sizes and len(sizes) > 10
+
+
 # -- edge features -------------------------------------------------------
 
 
@@ -1364,6 +1417,43 @@ class TestPairStepMatchesEagerForm:
             got = geometric._vertex_cost_matrix(c1, c2)
             assert got.shape == (n, n)
             assert np.array_equal(got, reference_vertex_costs(c1, c2))
+
+
+class TestDistanceOnGivenTerms:
+    """A pair's edge terms, built once and passed to the distance, give the
+    distance bit for bit under every weight vector."""
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_given_terms_give_the_same_distance(self, align):
+        for g1, g2 in pair_step_graphs():
+            r1, r2 = _pair(g1, g2, "edm" if align else None)  # the distance's own rows
+            terms = geometric._edge_terms(r1.edges, r2.edges)
+            for w in PAIR_STEP_WEIGHTS:
+                expected = geometric_graph_distance(g1, g2, w, align=align)
+                assert geometric_graph_distance(r1, r2, w, terms=terms) == expected
+                assert geometric_graph_distance(r1, r2, w) == expected
+
+    def test_terms_of_the_unpadded_rows_rejected(self):
+        g1, g2 = square(), GeometricGraph([0, 1], [(0, 1)], {0: (0, 0), 1: (1, 2)})
+        r1, r2 = geometric_rows(g1), geometric_rows(g2)
+        with pytest.raises(ValueError, match="edge terms"):
+            geometric_graph_distance(r1, r2, terms=geometric._edge_terms(r1.edges, r2.edges))
+        p1, p2 = _pair(r1, r2, None)
+        terms = geometric._edge_terms(p1.edges, p2.edges)
+        for wrong in (
+            geometric._edge_terms(p1.edges[:-1], p2.edges),
+            geometric._edge_terms(p1.edges, p2.edges[None]),
+            (terms[0], terms[1], terms[2][:, :1]),
+        ):
+            with pytest.raises(ValueError, match="edge terms"):
+                geometric_graph_distance(p1, p2, terms=wrong)
+        assert geometric_graph_distance(p1, p2, terms=terms) == geometric_graph_distance(g1, g2)
+
+    def test_terms_with_alignment_rejected(self):
+        g = square()
+        r = geometric_rows(g)
+        with pytest.raises(ValueError, match="aligned"):
+            geometric_graph_distance(r, r, align=True, terms=geometric._edge_terms(r.edges, r.edges))
 
 
 class TestPaddingMemo:

@@ -188,8 +188,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.pairs % 2 or args.seconds <= 0:
         parser.error("--pairs must be even and >= 2, and --seconds > 0")
+    if args.seed < 0 or (args.holdout_seed is not None and args.holdout_seed < 0):
+        parser.error("--seed and --holdout-seed must be >= 0")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"unknown --workload {args.workload!r} (one of {', '.join(workloads)})")
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    end_to_end = declared["end_to_end"]
     base = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     tree = working_tree()
     schedule = [(n, args.seed) for n in range(args.pairs)]
