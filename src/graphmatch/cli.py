@@ -5,6 +5,17 @@ timing), ``contract`` (apply a contraction to one GXL file), ``isocheck``
 (geometric isomorphism verdict via exit code), ``tune`` (weight search) and
 ``synth`` (write a synthetic corpus).  All outputs are CSV, JSON, or GXL
 files; figures are produced downstream from the CSVs.
+
+Import rule: at module level this module imports only the standard library
+and ``.datasets`` (which brings ``.graphs``).  The ``classify``, ``bench``,
+``contract``, ``isocheck`` and ``tune`` handlers import the matcher stack,
+and with it numpy and scipy, in their own bodies.  So ``synth``, ``--help``
+and usage errors start without numpy and ``scipy.optimize``, whose import
+takes most of their start-up time.  The library modules keep their eager
+imports: ``import graphmatch.bench`` loads scipy up front, so no timed
+matcher call ever pays for an import.  ``main``, ``synthesize_corpus`` and
+``write_gxl`` stay module attributes, looked up at call time, so a wrapper
+set on this module reaches them.
 """
 
 from __future__ import annotations
@@ -17,19 +28,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import (
-    MatcherSpec,
-    benchmark,
-    knn_classify,
-    split_method_list,
-    tune_weights,
-)
-from .centrality import (
-    MEASURES,
-    r_centrality_node_contraction,
-    t_centrality_node_contraction,
-)
-from .contraction import k_star_node_contraction, path_contract
 from .datasets import (
     PROFILES,
     load_dataset,
@@ -38,8 +36,7 @@ from .datasets import (
     write_cxl,
     write_gxl,
 )
-from .editdist import DEFAULT_PARAMS
-from .geometric import DistanceWeights, GeometricGraph, geometric_graph_isomorphism
+from .graphs import GeometricGraph
 
 _ISOCHECK_CODES = {"isomorphic": 0, "t_tolerant": 1, "distance": 3}
 
@@ -97,6 +94,9 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_classify(args) -> int:
+    from .bench import MatcherSpec, knn_classify
+    from .editdist import DEFAULT_PARAMS
+
     matcher = MatcherSpec(args.method, _float_fields(args.cost, "--cost", DEFAULT_PARAMS))
     train = _load_split(args.train, args.data, args.profile, "train")
     test = _load_split(args.test, args.data, args.profile, "test")
@@ -154,6 +154,9 @@ def _bench_pairs(args):
 
 
 def _cmd_bench(args) -> int:
+    from .bench import MatcherSpec, benchmark, split_method_list
+    from .editdist import DEFAULT_PARAMS
+
     methods = split_method_list(args.methods)
     if not methods:
         raise ValueError(f"--methods {args.methods!r} names no method")
@@ -181,20 +184,30 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# each contract mode: the option it needs (None for none) and its contraction
-_CONTRACTIONS = {
-    "kstar": ("k", lambda g, a: k_star_node_contraction(g, a.k)),
-    "rcentrality": ("r", lambda g, a: r_centrality_node_contraction(g, a.r, a.measure)),
-    "tcentrality": ("t", lambda g, a: t_centrality_node_contraction(g, a.t, a.measure)),
-    "path": (None, lambda g, a: path_contract(g)),
-}
+# each contract mode and the option it needs (None for none)
+_CONTRACT_OPTIONS = {"kstar": "k", "rcentrality": "r", "tcentrality": "t", "path": None}
 
 
 def _cmd_contract(args) -> int:
-    option, contract = _CONTRACTIONS[args.mode]
+    from .centrality import (
+        MEASURES,
+        r_centrality_node_contraction,
+        t_centrality_node_contraction,
+    )
+    from .contraction import k_star_node_contraction, path_contract
+
+    if args.measure not in MEASURES:
+        raise ValueError(f"unknown --measure {args.measure!r} (one of {', '.join(MEASURES)})")
+    option = _CONTRACT_OPTIONS[args.mode]
     if option and getattr(args, option) is None:
         raise ValueError(f"--mode {args.mode} needs --{option}")
-    contracted, report = contract(_read_graph(args.infile, args.profile), args)
+    contract = {
+        "kstar": lambda g: k_star_node_contraction(g, args.k),
+        "rcentrality": lambda g: r_centrality_node_contraction(g, args.r, args.measure),
+        "tcentrality": lambda g: t_centrality_node_contraction(g, args.t, args.measure),
+        "path": path_contract,
+    }[args.mode]
+    contracted, report = contract(_read_graph(args.infile, args.profile))
     Path(args.out).write_text(write_gxl(contracted))
     print(
         f"{report.before_n} -> {report.after_n} vertices "
@@ -205,6 +218,8 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_isocheck(args) -> int:
+    from .geometric import geometric_graph_isomorphism
+
     g1 = _read_graph(args.g1, args.profile)
     g2 = _read_graph(args.g2, args.profile)
     if not isinstance(g1, GeometricGraph) or not isinstance(g2, GeometricGraph):
@@ -215,6 +230,9 @@ def _cmd_isocheck(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .bench import MatcherSpec, knn_classify, tune_weights
+    from .geometric import DistanceWeights
+
     train = _load_split(args.train, args.data, args.profile, "train")
     validation = _load_split(args.validation, args.data, args.profile, "validation")
     start = _float_fields(args.start, "--start", DistanceWeights(0.25, 0.25, 0.25, 0.25))
@@ -295,11 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contract one GXL graph")
     p.add_argument("--in", dest="infile", required=True, help="input GXL")
-    p.add_argument("--mode", choices=tuple(_CONTRACTIONS), required=True)
+    p.add_argument("--mode", choices=tuple(_CONTRACT_OPTIONS), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=float)
     p.add_argument("--t", type=int)
-    p.add_argument("--measure", choices=MEASURES, default="degree")
+    p.add_argument("--measure", default="degree", help="centrality measure")
     p.add_argument("--profile", choices=PROFILES, default="generic")
     p.add_argument("--out", required=True, help="output GXL")
     p.set_defaults(run=_cmd_contract)

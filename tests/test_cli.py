@@ -5,11 +5,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from graphmatch import cli, datasets
 from graphmatch.bench import MatcherSpec, knn_classify, tune_weights
-from graphmatch.centrality import r_centrality_node_contraction
+from graphmatch.centrality import r_centrality_node_contraction, t_centrality_node_contraction
 from graphmatch.cli import main
 from graphmatch.contraction import k_star_node_contraction
 from graphmatch.datasets import load_dataset, parse_gxl, write_gxl
@@ -81,6 +87,72 @@ class TestSynth:
         assert code == 2
         assert capsys.readouterr().err == "error: sigma must be finite and >= 0\n"
         assert not out.exists()
+
+
+class TestImportBoundary:
+    """``synth``, ``--help`` and usage errors run without the matcher stack."""
+
+    # what cli imports at module level must not load these
+    MATCHER_STACK = ("numpy", "scipy", "graphmatch.geometric", "graphmatch.editdist",
+                     "graphmatch.bench")
+
+    def test_synth_usage_errors_and_loading_skip_the_matcher_stack(self, tmp_path):
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from graphmatch import cli
+            from graphmatch.datasets import load_dataset
+
+            out = sys.argv[1]
+            codes = []
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                codes.append(cli.main(["synth", "--classes", "2", "--per-class", "3",
+                                       "--sigma", "0.05", "--seed", "1", "--out", out]))
+                for argv in (["--help"], ["synth", "--help"], ["classify", "--knn", "0"]):
+                    try:
+                        cli.main(argv)
+                    except SystemExit as e:
+                        codes.append(e.code)
+            split = load_dataset(out + "/train.cxl", out, profile="letter")
+            print(json.dumps([codes, len(split.instances), len(split.errors), list(sys.modules)]))
+            import graphmatch.bench
+            print(json.dumps("scipy.optimize" in sys.modules))
+        """)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "corpus")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, second = done.stdout.splitlines()
+        codes, loaded_graphs, errors, modules = json.loads(first)
+        assert codes == [0, 0, 0, 2]
+        assert (loaded_graphs, errors) == (6, 0)
+        assert not set(self.MATCHER_STACK) & set(modules)
+        assert "graphmatch.datasets" in modules
+        assert json.loads(second) is True
+
+    def test_synth_calls_the_module_attributes(self, monkeypatch, tmp_path):
+        # wrappers set on the cli module must see every call synth makes
+        assert cli.__dict__["main"] is main
+        assert cli.__dict__["synthesize_corpus"] is datasets.synthesize_corpus
+        assert cli.__dict__["write_gxl"] is datasets.write_gxl
+        calls = []
+
+        def counted(name):
+            original = cli.__dict__[name]
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("synthesize_corpus", "write_gxl"):
+            monkeypatch.setattr(cli, name, counted(name))
+        synth_corpus(tmp_path, "corpus", classes=2, per_class=3)
+        assert calls == ["synthesize_corpus"] + ["write_gxl"] * 6
 
 
 class TestClassify:
@@ -429,6 +501,41 @@ class TestContract:
         assert code == 2
         assert capsys.readouterr().err == f"error: --mode {mode} needs {option}\n"
         assert not (tmp_path / "o.gxl").exists()
+
+    @pytest.mark.parametrize("mode", ["kstar", "rcentrality", "tcentrality", "path"])
+    def test_unknown_measure_exits_2_before_reading(self, tmp_path, capsys, mode):
+        out = tmp_path / "o.gxl"
+        code = run(
+            "contract", "--in", tmp_path / "absent.gxl", "--mode", mode,
+            "--k", 1, "--r", 0.5, "--t", 1, "--measure", "bogus", "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus" in err and "absent" not in err
+        assert all(m in err for m in ("degree", "betweenness", "eigenvector", "pagerank"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure", ["degree", "betweenness", "eigenvector", "pagerank"])
+    @pytest.mark.parametrize(
+        "mode, option, value, contraction",
+        [
+            ("rcentrality", "--r", 0.5, r_centrality_node_contraction),
+            ("tcentrality", "--t", 2, t_centrality_node_contraction),
+        ],
+    )
+    def test_each_measure_writes_the_library_contraction(
+        self, tmp_path, mode, option, value, contraction, measure
+    ):
+        g = AttributedGraph(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (1, 5)])
+        src = self.write_graph(tmp_path, g)
+        out = tmp_path / "out.gxl"
+        code = run(
+            "contract", "--in", src, "--mode", mode, option, value,
+            "--measure", measure, "--out", out,
+        )
+        assert code == 0
+        expect, _ = contraction(g, value, measure)
+        assert out.read_text() == write_gxl(expect)
 
     def test_missing_mode_parameter(self, tmp_path, capsys):
         src = self.write_graph(tmp_path, AttributedGraph([0, 1], [(0, 1)]))
