@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import centrality, contraction, geometric
-from .centrality import MEASURES
 # perfbench/tracing.py wraps these names here; the pair steps no longer call them
 from .centrality import r_centrality_ged, t_centrality_ged  # noqa: F401
 from .contraction import hged, k_star_ged  # noqa: F401
@@ -148,8 +147,7 @@ def _compiled(method: str, p: EditCostParams):
         ), edit_distance(beam(1))
     if name in ("r-ged", "t-ged"):
         measure = args[1]
-        if measure not in MEASURES:
-            raise ValueError(f"unknown measure {measure!r} (one of {', '.join(MEASURES)})")
+        centrality._check_measure(measure)
         if name == "r-ged":
             r = _float_arg(args[0], "r")
             if not 0.0 <= r <= 1.0:

@@ -125,8 +125,9 @@ MEASURES = tuple(_SCORERS)
 
 
 def _check_measure(measure: str) -> None:
+    """The one check of a measure name, for the library, MatcherSpec and contract."""
     if measure not in _SCORERS:
-        raise ValueError(f"unknown centrality measure {measure!r}")
+        raise ValueError(f"unknown centrality measure {measure!r} (one of {', '.join(MEASURES)})")
 
 
 def centrality(g: AttributedGraph, measure: str) -> CentralityVector:

@@ -189,22 +189,17 @@ _CONTRACT_OPTIONS = {"kstar": "k", "rcentrality": "r", "tcentrality": "t", "path
 
 
 def _cmd_contract(args) -> int:
-    from .centrality import (
-        MEASURES,
-        r_centrality_node_contraction,
-        t_centrality_node_contraction,
-    )
+    from . import centrality
     from .contraction import k_star_node_contraction, path_contract
 
-    if args.measure not in MEASURES:
-        raise ValueError(f"unknown --measure {args.measure!r} (one of {', '.join(MEASURES)})")
+    centrality._check_measure(args.measure)
     option = _CONTRACT_OPTIONS[args.mode]
     if option and getattr(args, option) is None:
         raise ValueError(f"--mode {args.mode} needs --{option}")
     contract = {
         "kstar": lambda g: k_star_node_contraction(g, args.k),
-        "rcentrality": lambda g: r_centrality_node_contraction(g, args.r, args.measure),
-        "tcentrality": lambda g: t_centrality_node_contraction(g, args.t, args.measure),
+        "rcentrality": lambda g: centrality.r_centrality_node_contraction(g, args.r, args.measure),
+        "tcentrality": lambda g: centrality.t_centrality_node_contraction(g, args.t, args.measure),
         "path": path_contract,
     }[args.mode]
     contracted, report = contract(_read_graph(args.infile, args.profile))

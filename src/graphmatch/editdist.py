@@ -272,10 +272,12 @@ class EditTables:
 
     @property
     def n(self) -> int:
+        """The graph's vertex count; perfbench's tracer reads it on ``bench.ged``'s arguments."""
         return self.graph.n
 
     @property
     def m(self) -> int:
+        """The graph's edge count; the search reads it, perfbench's tracer only ``n``."""
         return self.graph.m
 
 

@@ -21,9 +21,10 @@ ED/EDM-style settings, ``geometric_graph_distance`` solves no vertex
 assignment: VD is finite, so 0 * VD adds exactly nothing.  Every vertex
 assignment goes through one helper, ``_vertex_assignment``.  E^A, E^L and
 E^P read no weight: ``_edge_terms`` is the one place they are computed and
-``_weighted`` the one place they are weighted, so a caller scoring one pair
-under many weight vectors (``bench.tune_weights``) builds the pair's terms
-once and hands them to ``geometric_graph_distance`` as ``terms``.
+``_weighted`` the one place they are weighted: every edge cost matrix is
+``_weighted(_edge_terms(a, b), w)``, and ``bench.tune_weights``, scoring a
+pair under many weight vectors, builds its terms once and hands them to
+``geometric_graph_distance`` as ``terms``.
 
 Graphs of unequal size are padded: extra vertices at the mean coordinate of
 the smaller graph's own vertices, extra edge slots as "empty" rows
@@ -156,15 +157,9 @@ def _weighted(terms, weights: DistanceWeights) -> np.ndarray:
     return weights.w2 * angle + weights.w3 * length + weights.w4 * position
 
 
-def _edge_cost_matrix(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
-    """w2 * E^A + w3 * E^L + w4 * E^P for every pair of feature rows, shaped
-    as ``_edge_terms``' terms."""
-    return _weighted(_edge_terms(a, b), weights)
-
-
 def _transport_bound(a: np.ndarray, b: np.ndarray, weights: DistanceWeights) -> np.ndarray:
-    """A lower bound on the assignment optimum of ``_edge_cost_matrix(a, b,
-    weights)`` for the (m, 6) rows ``a`` and each (..., m, 6) row set ``b``.
+    """A lower bound on the assignment optimum of ``_weighted(_edge_terms(a,
+    b), weights)`` for the (m, 6) rows ``a`` and each (..., m, 6) row set ``b``.
 
     Per column c of theta, length, midpoint x and midpoint y, t_c sums
     |sort(a_c) - sort(b_c)|; the bound is
@@ -212,17 +207,6 @@ class GeometricRows:
     pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _coord_array(g: GeometricGraph) -> np.ndarray:
-    """g's coordinates in vertex order, shape (n, 2)."""
-    return np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2)
-
-
-def _edge_ends(g: GeometricGraph) -> np.ndarray:
-    """Each edge's endpoint indices into g.vertices, shape (m, 2)."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
-
-
 def _means(coords: np.ndarray) -> np.ndarray:
     """The mean coordinate (C, 2) of each of C placements (C, n, 2), the
     origin for n = 0: the one mean of plane graphs, a running sum from 0.0,
@@ -256,10 +240,13 @@ def _placement_features(coords: np.ndarray, ends: np.ndarray, slots: int) -> np.
 
 def geometric_rows(g: GeometricGraph) -> GeometricRows:
     """g's rows for ``geometric_graph_distance`` and ``graph_alignment``;
-    ValueError unless g has coordinates."""
+    ValueError unless g has coordinates.  The one reader of a plane graph's
+    coordinates and edges."""
     if not isinstance(g, GeometricGraph):
         raise ValueError("geometric distance needs graphs with coordinates")
-    coords, ends = _coord_array(g), _edge_ends(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    coords = np.array([g.coords[v] for v in g.vertices]).reshape(-1, 2)
+    ends = np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
     feats = _placement_features(coords[None], ends, g.m + g.empty_edges)[0]
     return GeometricRows(coords, ends, feats)
 
@@ -318,7 +305,7 @@ def vertex_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
     """Minimal total Euclidean movement matching the two vertex sets."""
     if g1.n != g2.n:
         raise ValueError(f"unequal vertex counts ({g1.n} vs {g2.n}); pad first")
-    return _vertex_assignment(_coord_array(g1), _coord_array(g2)).total_cost
+    return _vertex_assignment(geometric_rows(g1).coords, geometric_rows(g2).coords).total_cost
 
 
 def _edge_assignment(
@@ -329,7 +316,7 @@ def _edge_assignment(
         raise ValueError(
             f"unequal edge counts ({len(feats1)} vs {len(feats2)}); pad first"
         )
-    return solve_lsap(_edge_cost_matrix(feats1, feats2, weights))
+    return solve_lsap(_weighted(_edge_terms(feats1, feats2), weights))
 
 
 def edge_distance(g1: GeometricGraph, g2: GeometricGraph) -> float:
@@ -432,7 +419,7 @@ def geometric_transform(
     if not g.has_edge(u, v):
         raise ValueError(f"no edge ({u}, {v})")
     move = ((g.vertices.index(u), g.vertices.index(v)), e_ref)
-    return _moved(g, _placements(_coord_array(g), [move])[1], g.m + g.empty_edges)
+    return _moved(g, _placements(geometric_rows(g).coords, [move])[1], g.m + g.empty_edges)
 
 
 def graph_alignment(
@@ -485,12 +472,13 @@ def graph_alignment(
     for k, b in enumerate(feats):
         if bounds[k] > best_primary + 1e-9:
             continue  # can neither win nor tie: skip its cost matrix and LSAP
-        primary = solve_lsap(_edge_cost_matrix(a, b, primary_weights)).total_cost
+        terms = _edge_terms(a, b)
+        primary = solve_lsap(_weighted(terms, primary_weights)).total_cost
         if primary > best_primary + 1e-9:
             continue
         secondary = primary  # "edm" has no separate tie-break score
         if variant == "ed":
-            secondary = solve_lsap(_edge_cost_matrix(a, b, _EDM_WEIGHTS)).total_cost
+            secondary = solve_lsap(_weighted(terms, _EDM_WEIGHTS)).total_cost
         if primary < best_primary - 1e-9 or secondary < best_secondary - 1e-9:
             best, best_primary, best_secondary = k, primary, secondary
     if best == 0:
@@ -570,7 +558,8 @@ def geometric_graph_isomorphism(
     r1, r2 = _pair(r1, r2, "ed")
     vassign = _vertex_assignment(r1.coords, r2.coords)
     mapping = vassign.pairs
-    ed_costs = _edge_cost_matrix(r1.edges, r2.edges, _ED_WEIGHTS)
+    terms = _edge_terms(r1.edges, r2.edges)
+    ed_costs = _weighted(terms, _ED_WEIGHTS)
     eassign = solve_lsap(ed_costs)
     gd = vassign.total_cost + eassign.total_cost
     if not sizes_match:
@@ -581,7 +570,7 @@ def geometric_graph_isomorphism(
         # Edges with identical angle and length tie in the assignment and the
         # solver may pick a geometrically crossed optimum; retry with the
         # position term as tie-break, accepted only when it costs no more.
-        tie_broken = solve_lsap(_edge_cost_matrix(r1.edges, r2.edges, _EDM_WEIGHTS))
+        tie_broken = solve_lsap(_weighted(terms, _EDM_WEIGHTS))
         retry_cost = math.fsum(ed_costs[i, j] for i, j in tie_broken.pairs)
         if retry_cost <= eassign.total_cost + 1e-9:
             consistent = _edge_endpoints_consistent(

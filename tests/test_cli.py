@@ -15,7 +15,11 @@ import pytest
 
 from graphmatch import cli, datasets
 from graphmatch.bench import MatcherSpec, knn_classify, tune_weights
-from graphmatch.centrality import r_centrality_node_contraction, t_centrality_node_contraction
+from graphmatch.centrality import (
+    centrality,
+    r_centrality_node_contraction,
+    t_centrality_node_contraction,
+)
 from graphmatch.cli import main
 from graphmatch.contraction import k_star_node_contraction
 from graphmatch.datasets import load_dataset, parse_gxl, write_gxl
@@ -514,6 +518,25 @@ class TestContract:
         assert err.startswith("error: ") and "bogus" in err and "absent" not in err
         assert all(m in err for m in ("degree", "betweenness", "eigenvector", "pagerank"))
         assert not out.exists()
+
+    def test_unknown_measure_has_one_message(self, tmp_path, capsys):
+        """``centrality()``, ``MatcherSpec`` and ``contract --measure`` word a
+        bad measure name the same way, naming the four measures."""
+        message = (
+            "unknown centrality measure 'bogus' "
+            "(one of degree, betweenness, eigenvector, pagerank)"
+        )
+        with pytest.raises(ValueError) as library:
+            centrality(AttributedGraph([0, 1], [(0, 1)]), "bogus")
+        with pytest.raises(ValueError) as spec:
+            MatcherSpec("r-ged(0.5,bogus)")
+        code = run(
+            "contract", "--in", tmp_path / "absent.gxl", "--mode", "tcentrality",
+            "--t", 1, "--measure", "bogus", "--out", tmp_path / "o.gxl",
+        )
+        assert str(library.value) == str(spec.value) == message
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("measure", ["degree", "betweenness", "eigenvector", "pagerank"])
     @pytest.mark.parametrize(

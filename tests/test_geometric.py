@@ -17,11 +17,12 @@ from graphmatch.bench import MatcherSpec
 from graphmatch.geometric import (
     DistanceWeights,
     GeometricIsomorphism,
-    _edge_cost_matrix,
+    _edge_terms,
     _pair,
     _placement_features,
     _placements,
     _transport_bound,
+    _weighted,
     edge_distance,
     edge_distance_metric,
     edge_features,
@@ -239,7 +240,8 @@ class TestTransportBound:
         for a, b in self.row_sets():
             for w in self.weights():
                 for bound, rows in zip(_transport_bound(a, b, w), b):
-                    assert bound <= solve_lsap(_edge_cost_matrix(a, rows, w)).total_cost + 1e-12
+                    optimum = solve_lsap(_weighted(_edge_terms(a, rows), w)).total_cost
+                    assert bound <= optimum + 1e-12
                     checked += 1
         assert checked >= 5000
 
@@ -299,7 +301,7 @@ class TestEdgeTerms:
         sizes = set()
         for a, b in self.row_pairs():
             for w in TestTransportBound.weights():
-                got = _edge_cost_matrix(a, b, w)
+                got = _weighted(_edge_terms(a, b), w)
                 assert same_bits(got, reference_edge_cost_matrix(a, b, w))
                 sizes.add(got.size)
         assert 0 in sizes and len(sizes) > 10
@@ -754,7 +756,7 @@ def reference_alignment(g1, g2, variant="ed"):
     def scores(candidate):
         feats2 = padded_features(candidate, n)
         costs = [
-            solve_lsap(_edge_cost_matrix(feats1, feats2, w)).total_cost
+            solve_lsap(_weighted(_edge_terms(feats1, feats2), w)).total_cost
             for w in score_weights
         ]
         return costs[0], costs[-1]
@@ -783,10 +785,10 @@ def reference_isomorphism(g1, g2, tolerance=0.0):
     p1, p2 = pad_to_equal(g1, g2)
     if geometric._has_alignable_edge(p1) and geometric._has_alignable_edge(p2):
         p2 = reference_alignment(p1, p2, "ed")
-    c1, c2 = geometric._coord_array(p1), geometric._coord_array(p2)
+    c1, c2 = geometric_rows(p1).coords, geometric_rows(p2).coords
     f1, f2 = edge_features(p1), edge_features(p2)
     vassign = solve_lsap(geometric._vertex_cost_matrix(c1, c2))
-    ed_costs = _edge_cost_matrix(f1, f2, DistanceWeights(w4=0.0))
+    ed_costs = _weighted(_edge_terms(f1, f2), DistanceWeights(w4=0.0))
     eassign = solve_lsap(ed_costs)
     gd = vassign.total_cost + eassign.total_cost
     if not sizes_match:
@@ -803,7 +805,7 @@ def reference_isomorphism(g1, g2, tolerance=0.0):
 
     ok = consistent(eassign.pairs)
     if not ok:
-        tie_broken = solve_lsap(_edge_cost_matrix(f1, f2, DistanceWeights()))
+        tie_broken = solve_lsap(_weighted(_edge_terms(f1, f2), DistanceWeights()))
         if sum(ed_costs[i, j] for i, j in tie_broken.pairs) <= eassign.total_cost + 1e-9:
             ok = consistent(tie_broken.pairs)
     if gd <= 1e-9 and ok:
@@ -968,7 +970,7 @@ class TestAlignmentMatchesReference:
             ]
             index = {v: i for i, v in enumerate(p2.vertices)}
             placements = _placements(
-                geometric._coord_array(p2),
+                geometric_rows(p2).coords,
                 [((index[u], index[v]), e_ref) for (u, v), e_ref in moves],
             )
             ends = np.array([(index[u], index[v]) for u, v in p2.edges]).reshape(-1, 2)
@@ -1009,14 +1011,14 @@ class TestAlignmentScreen:
             yield g1, random_geometric(rng, rng.randint(14, 18), p=0.25, span=1.0)  # cross
 
     def test_few_candidates_reach_the_kernel(self, monkeypatch):
-        kernel = geometric._edge_cost_matrix
-        reached = []  # candidates per kernel call: the leading axes of b
+        kernel = geometric._weighted
+        reached = []  # candidates per kernel call: the terms' leading axes
 
-        def counted(a, b, weights):
-            reached.append(b[..., 0, 0].size)
-            return kernel(a, b, weights)
+        def counted(terms, weights):
+            reached.append(terms[0][..., 0, 0].size)
+            return kernel(terms, weights)
 
-        monkeypatch.setattr(geometric, "_edge_cost_matrix", counted)
+        monkeypatch.setattr(geometric, "_weighted", counted)
         candidates = 0
         for g1, g2 in self.molecule_pairs():
             p1, p2 = pad_to_equal(g1, g2)
@@ -1260,6 +1262,12 @@ class TestGeometricGraphDistance:
                 with pytest.raises(ValueError, match="coordinates"):
                     geometric_graph_distance(g1, g2, align=align)
 
+    def test_vertex_distance_requires_coordinates(self):
+        plain = AttributedGraph([0, 1, 2, 3], [(0, 1)])
+        for g1, g2 in ((plain, square()), (square(), plain), (plain, plain)):
+            with pytest.raises(ValueError, match="coordinates"):
+                vertex_distance(g1, g2)
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             DistanceWeights(w2=-0.5)
@@ -1315,7 +1323,7 @@ def reference_pair(g1, g2, variant):
 def reference_distance(g1, g2, weights, align):
     r1, r2 = reference_pair(g1, g2, "edm" if align else None)
     _, vd = reference_lsap(reference_vertex_costs(r1.coords, r2.coords))
-    return weights.w1 * vd + reference_lsap(_edge_cost_matrix(r1.edges, r2.edges, weights))[1]
+    return weights.w1 * vd + reference_lsap(_weighted(_edge_terms(r1.edges, r2.edges), weights))[1]
 
 
 def reference_pair_isomorphism(g1, g2, tolerance):
@@ -1323,14 +1331,16 @@ def reference_pair_isomorphism(g1, g2, tolerance):
     sizes_match = g1.n == g2.n and g1.m + g1.empty_edges == g2.m + g2.empty_edges
     r1, r2 = reference_pair(g1, g2, "ed")
     vpairs, vd = reference_lsap(reference_vertex_costs(r1.coords, r2.coords))
-    ed_costs = _edge_cost_matrix(r1.edges, r2.edges, DistanceWeights(w4=0.0))
+    ed_costs = _weighted(_edge_terms(r1.edges, r2.edges), DistanceWeights(w4=0.0))
     epairs, ed = reference_lsap(ed_costs)
     gd = vd + ed
     if not sizes_match:
         return GeometricIsomorphism("distance", gd, vpairs)
     consistent = geometric._edge_endpoints_consistent(r1, r2, vpairs, epairs)
     if not consistent:
-        tie_broken, _ = reference_lsap(_edge_cost_matrix(r1.edges, r2.edges, DistanceWeights()))
+        tie_broken, _ = reference_lsap(
+            _weighted(_edge_terms(r1.edges, r2.edges), DistanceWeights())
+        )
         if math.fsum(ed_costs[i, j] for i, j in tie_broken) <= ed + 1e-9:
             consistent = geometric._edge_endpoints_consistent(r1, r2, vpairs, tie_broken)
     if gd <= 1e-9 and consistent:
