@@ -98,6 +98,10 @@ class MatcherSpec:
     of every edit matcher; the ``geometric_rows`` of ``geometric``, aligned
     or not), and the pair step matches two prepared graphs.  ``distance``
     accepts graphs and prepared graphs alike.
+
+    Constructing a ``bipartite`` or ``geometric`` spec loads scipy
+    (``geometric.load_lsap``), so no timed distance call pays for the
+    import; the other matchers never load it.
     """
 
     method: str
@@ -137,6 +141,7 @@ def _compiled(method: str, p: EditCostParams):
     if name in ("ged", "ged-beam"):
         return edit_tables, edit_distance(beam(0))
     if name == "bipartite":
+        geometric.load_lsap()
         return edit_tables, lambda a, b: ged_bipartite(a, b, p).total_cost
     if name == "hged":
         return (lambda g: edit_tables(contraction.path_contract(g)[0])), edit_distance(beam(0))
@@ -163,6 +168,7 @@ def _compiled(method: str, p: EditCostParams):
     if len(args) == 5 and args[4] != "align":
         raise ValueError(f"fifth geometric argument must be 'align', got {args[4]!r}")
     align = len(args) == 5
+    geometric.load_lsap()
     return (lambda g: geometric.geometric_rows(g)), (
         lambda a, b: geometric_graph_distance(a, b, weights, align=align)
     )
@@ -450,7 +456,8 @@ def tune_weights(
     its edge terms once and every weight vector re-weights them and solves
     only the edge assignment.  With ``align`` the call so holds one aligned
     row set per pair until it returns; a pair's terms live for one pass
-    over that pair, and nothing prepared outlives the call.
+    over that pair, and nothing prepared outlives the call.  Unless a
+    spec has loaded it, scipy loads on the call's first solve.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")

@@ -65,6 +65,14 @@ wins.  The transform arithmetic lives in one place, ``_similarity`` (the
 parameters) and ``_placements`` (the moved coordinates), and the feature
 rows of every placement, a graph's own included, come from
 ``_placement_features``.
+
+Importing this module (and so ``editdist`` or ``bench``) loads numpy but
+not scipy.  ``solve_lsap``, the one assignment solve, calls scipy's solver
+through a module global that ``load_lsap`` binds.  ``bench.MatcherSpec``
+calls ``load_lsap`` when it builds a ``bipartite`` or ``geometric`` matcher,
+before any timed call; a direct call into this module (a distance, an
+alignment, ``geometric_graph_isomorphism``) or ``bench.tune_weights`` loads
+scipy on its first solve.
 """
 
 from __future__ import annotations
@@ -73,7 +81,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graphs import GeometricGraph, canonical_edge
 
@@ -92,6 +99,20 @@ class Assignment:
         return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
 
+# scipy's solver, bound by ``load_lsap``; None until the first load
+_lsap = None
+
+
+def load_lsap():
+    """scipy's assignment solver, imported and bound on the first call."""
+    global _lsap
+    if _lsap is None:
+        from scipy.optimize import linear_sum_assignment
+
+        _lsap = linear_sum_assignment
+    return _lsap
+
+
 def solve_lsap(cost: np.ndarray) -> Assignment:
     """Minimum-cost linear sum assignment: scipy's shortest augmenting path
     solver (Crouse 2016, "On implementing 2D rectangular assignment
@@ -99,7 +120,8 @@ def solve_lsap(cost: np.ndarray) -> Assignment:
 
     Infinite entries mark forbidden pairings; the matrix must still admit a
     feasible assignment.  Every assignment solve of the package goes through
-    here.
+    here.  Unless ``load_lsap`` has run, the first non-empty solve loads
+    scipy.
     """
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2:
@@ -109,7 +131,7 @@ def solve_lsap(cost: np.ndarray) -> Assignment:
     if matrix.size == 0:
         none = np.zeros(0, dtype=np.intp)
         return Assignment(none, none, 0.0)
-    rows, cols = linear_sum_assignment(matrix)
+    rows, cols = (_lsap or load_lsap())(matrix)
     return Assignment(rows, cols, float(matrix[rows, cols].sum()))
 
 
@@ -549,7 +571,8 @@ def geometric_graph_isomorphism(
     edge distance to vanish (<= 1e-9) with consistent assignments;
     "t_tolerant" relaxes vanishing to per-axis coordinate differences
     strictly below ``tolerance`` for every matched vertex pair.  Graphs of
-    unequal size are padded and can only yield a distance verdict.
+    unequal size are padded and can only yield a distance verdict.  Unless
+    ``load_lsap`` has run, the first call loads scipy.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")

@@ -119,8 +119,22 @@ class TestImportBoundary:
                         codes.append(e.code)
             split = load_dataset(out + "/train.cxl", out, profile="letter")
             print(json.dumps([codes, len(split.instances), len(split.errors), list(sys.modules)]))
-            import graphmatch.bench
-            print(json.dumps("scipy.optimize" in sys.modules))
+            from graphmatch.bench import MatcherSpec, knn_classify
+            loaded = []
+            with contextlib.redirect_stdout(sink):
+                for method in ("ged", "ged-beam(2)", "hged", "kstar-ged(1)",
+                               "r-ged(0.5,betweenness)", "t-ged(1,degree)"):
+                    knn_classify(split, split, MatcherSpec(method), 1)
+                    loaded.append("scipy.optimize" in sys.modules)
+                for mode in (["kstar", "--k", "1"], ["path"]):
+                    cli.main(["contract", "--in", out + "/c00-000.gxl", "--mode", *mode,
+                              "--out", out + "/contracted.gxl"])
+                    loaded.append("scipy.optimize" in sys.modules)
+            matcher = MatcherSpec("bipartite")
+            loaded.append("scipy.optimize" in sys.modules)
+            before = set(sys.modules)
+            knn_classify(split, split, matcher, 1)
+            print(json.dumps([loaded, sorted(set(sys.modules) - before)]))
         """)
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -135,7 +149,55 @@ class TestImportBoundary:
         assert (loaded_graphs, errors) == (6, 0)
         assert not set(self.MATCHER_STACK) & set(modules)
         assert "graphmatch.datasets" in modules
-        assert json.loads(second) is True
+        # the exact, beam and contraction matchers and contract never load
+        # scipy; building a bipartite spec loads it, so its timed pair steps
+        # import nothing
+        loaded, imported_while_timed = json.loads(second)
+        assert loaded == [False] * 8 + [True]
+        assert imported_while_timed == []
+
+    def test_geometric_spec_and_a_direct_solve_load_scipy_themselves(self, tmp_path):
+        code = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from graphmatch import datasets, geometric
+            from graphmatch.bench import MatcherSpec, knn_classify
+
+            out, step = sys.argv[1], sys.argv[2]
+            loaded = ["scipy.optimize" in sys.modules]
+            if step == "spec":
+                matcher = MatcherSpec("geometric(1,1,1,1,align)")
+                loaded.append("scipy.optimize" in sys.modules)
+                split = datasets.load_dataset(out + "/train.cxl", out, profile="letter")
+                before = set(sys.modules)
+                knn_classify(split, split, matcher, 1)
+                print(json.dumps([loaded, sorted(set(sys.modules) - before)]))
+            else:
+                cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+                solved = geometric.solve_lsap(cost)
+                loaded.append("scipy.optimize" in sys.modules)
+                from scipy.optimize import linear_sum_assignment
+                rows, cols = linear_sum_assignment(cost)
+                same = (solved.rows.tolist() == rows.tolist()
+                        and solved.cols.tolist() == cols.tolist()
+                        and solved.total_cost == float(cost[rows, cols].sum()))
+                print(json.dumps([loaded, same]))
+        """)
+        corpus, _ = synth_corpus(tmp_path, "corpus", classes=2, per_class=3)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        results = {}
+        for step in ("spec", "solve"):
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(corpus), step],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            results[step] = json.loads(done.stdout)
+        # building a geometric spec loads scipy before any distance call
+        assert results["spec"] == [[False, True], []]
+        # a solve with no spec built loads scipy itself and gives its answer
+        assert results["solve"] == [[False, True], True]
 
     def test_synth_calls_the_module_attributes(self, monkeypatch, tmp_path):
         # wrappers set on the cli module must see every call synth makes
