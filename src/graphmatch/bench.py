@@ -99,9 +99,10 @@ class MatcherSpec:
     or not), and the pair step matches two prepared graphs.  ``distance``
     accepts graphs and prepared graphs alike.
 
-    Constructing a ``bipartite`` or ``geometric`` spec loads scipy
+    Constructing a ``bipartite`` or ``geometric`` spec loads scipy's
+    assignment solver, its C extension alone and not ``scipy.optimize``
     (``geometric.load_lsap``), so no timed distance call pays for the
-    import; the other matchers never load it.
+    import; the other matchers never load scipy.
     """
 
     method: str
@@ -457,7 +458,8 @@ def tune_weights(
     only the edge assignment.  With ``align`` the call so holds one aligned
     row set per pair until it returns; a pair's terms live for one pass
     over that pair, and nothing prepared outlives the call.  Unless a
-    spec has loaded it, scipy loads on the call's first solve.
+    spec has loaded it, scipy's solver extension (not ``scipy.optimize``)
+    loads on the call's first solve.
     """
     if not train.instances or not validation.instances:
         raise ValueError("train and validation splits must be nonempty")

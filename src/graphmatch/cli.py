@@ -10,13 +10,15 @@ Import rule: at module level this module imports only the standard library
 and ``.datasets`` (which brings ``.graphs``).  The ``classify``, ``bench``,
 ``contract``, ``isocheck`` and ``tune`` handlers import the matcher stack,
 and with it numpy, in their own bodies.  So ``synth``, ``--help`` and usage
-errors start without numpy and ``scipy.optimize``.  The library modules
-do not load scipy up front either: the first matcher that solves an
-assignment does (a ``bipartite`` or ``geometric`` ``MatcherSpec`` when it is
-built, before any timed call; ``isocheck`` and ``tune`` on their first
-solve).  So ``contract`` and exact, beam and contraction ``classify`` and
-``bench`` runs start without scipy, whose import takes most of their
-start-up time.  ``main``, ``synthesize_corpus`` and
+errors start without numpy and scipy.  The library modules do not load
+scipy up front either: the first matcher that solves an assignment loads
+scipy's assignment solver, its one C extension and never the
+``scipy.optimize`` package (a ``bipartite`` or ``geometric`` ``MatcherSpec``
+when it is built, before any timed call; ``isocheck`` and ``tune`` on their
+first solve).  So ``contract`` and exact, beam and contraction ``classify``
+and ``bench`` runs start without scipy, and no command imports
+``scipy.optimize``, whose import would take most of a run's start-up time
+and memory.  ``main``, ``synthesize_corpus`` and
 ``write_gxl`` stay module attributes, looked up at call time, so a wrapper
 set on this module reaches them.
 """

@@ -245,18 +245,18 @@ class EditTables:
     """What every edit matcher reads of one graph alone (``edit_tables``).
 
     ``stored`` keeps ``graph.vertices`` in their stored order, the order
-    beam search and ``ged_bipartite`` take g1 in and all three take g2 in;
-    ``by_degree`` takes them by decreasing degree, ties by id, the exact
-    search's order for g1.  The g2 side reads positions in stored order:
-    ``edge_ids[j][k]`` is the index into ``graph.edges`` of the edge between
-    positions j and k, or -1, and every row ends in a -1 that a deleted
-    vertex (-1) reads; ``edge_masks`` holds each edge's end positions and
-    ``neighbors`` each vertex's neighbor positions, as bitmasks.  In degree
-    order, ``inner[i]`` counts the edges with both ends at positions >= i
-    and ``cross[i]`` those with one end below i and the other at or above
-    it, for i = 0..n.  ``edge_labels`` follows ``graph.edges``;
-    ``incident[j]`` lists the labels of position j's edges in
-    ``graph.neighbors`` order.
+    beam search takes g1 in and both searches take g2 in (``ged_bipartite``
+    sorts both graphs' vertices by id); ``by_degree`` takes them by
+    decreasing degree, ties by id, the exact search's order for g1.  The g2
+    side reads positions in stored order: ``edge_ids[j][k]`` is the index
+    into ``graph.edges`` of the edge between positions j and k, or -1, and
+    every row ends in a -1 that a deleted vertex (-1) reads; ``edge_masks``
+    holds each edge's end positions and ``neighbors`` each vertex's neighbor
+    positions, as bitmasks.  In degree order, ``inner[i]`` counts the edges
+    with both ends at positions >= i and ``cross[i]`` those with one end
+    below i and the other at or above it, for i = 0..n.  ``edge_labels``
+    follows ``graph.edges``; ``incident[j]`` lists the labels of position
+    j's edges in ``graph.neighbors`` order.
     """
 
     graph: AttributedGraph
@@ -598,23 +598,26 @@ def ged_bipartite(
     entries combine node label costs with the optimal matching of the local
     edge structures, then prices the complete edit path induced by the node
     assignment.  The result is always attainable, hence an upper bound on
-    the exact distance.  Either graph may be given as its ``edit_tables``,
-    with the same path; the path is priced on the graphs either way.
+    the exact distance.  Rows and columns take each graph's vertices in id
+    order, so the path does not depend on the order they are stored in.
+    Either graph may be given as its ``edit_tables``, with the same path;
+    the path is priced on the graphs either way.
     """
     t1, t2 = _tables_of(g1), _tables_of(g2)
+    side1 = sorted(zip(t1.stored.vertices, t1.stored.labels, t1.incident))
+    side2 = sorted(zip(t2.stored.vertices, t2.stored.labels, t2.incident))
     n1, n2 = t1.n, t2.n
     size = n1 + n2
     cost = np.full((size, size), np.inf)
-    for i, (a, edges1) in enumerate(zip(t1.stored.labels, t1.incident)):
-        for j, (b, edges2) in enumerate(zip(t2.stored.labels, t2.incident)):
+    for i, (_, a, edges1) in enumerate(side1):
+        for j, (_, b, edges2) in enumerate(side2):
             local = _local_edge_cost(edges1, edges2, params)
             cost[i, j] = params.y_node * label_distance(a, b) + local
         cost[i, n2 + i] = params.x_node + params.x_edge * len(edges1)
-    for j, edges2 in enumerate(t2.incident):
+    for j, (_, _, edges2) in enumerate(side2):
         cost[n1 + j, j] = params.x_node + params.x_edge * len(edges2)
     cost[n1:, n2:] = 0.0
 
     assignment = solve_lsap(cost)
-    u_list, v_list = t1.stored.vertices, t2.stored.vertices
-    mapping = {u_list[i]: v_list[j] for i, j in assignment.pairs if i < n1 and j < n2}
+    mapping = {side1[i][0]: side2[j][0] for i, j in assignment.pairs if i < n1 and j < n2}
     return path_from_mapping(t1.graph, t2.graph, mapping, params)

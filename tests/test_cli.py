@@ -119,22 +119,24 @@ class TestImportBoundary:
                         codes.append(e.code)
             split = load_dataset(out + "/train.cxl", out, profile="letter")
             print(json.dumps([codes, len(split.instances), len(split.errors), list(sys.modules)]))
+            from graphmatch import geometric
             from graphmatch.bench import MatcherSpec, knn_classify
             loaded = []
             with contextlib.redirect_stdout(sink):
                 for method in ("ged", "ged-beam(2)", "hged", "kstar-ged(1)",
                                "r-ged(0.5,betweenness)", "t-ged(1,degree)"):
                     knn_classify(split, split, MatcherSpec(method), 1)
-                    loaded.append("scipy.optimize" in sys.modules)
+                    loaded.append("scipy" in sys.modules)
                 for mode in (["kstar", "--k", "1"], ["path"]):
                     cli.main(["contract", "--in", out + "/c00-000.gxl", "--mode", *mode,
                               "--out", out + "/contracted.gxl"])
-                    loaded.append("scipy.optimize" in sys.modules)
+                    loaded.append("scipy" in sys.modules)
             matcher = MatcherSpec("bipartite")
-            loaded.append("scipy.optimize" in sys.modules)
+            bound = [geometric._lsap is not None, "scipy.optimize._lsap" in sys.modules]
             before = set(sys.modules)
             knn_classify(split, split, matcher, 1)
-            print(json.dumps([loaded, sorted(set(sys.modules) - before)]))
+            print(json.dumps([loaded, bound, sorted(set(sys.modules) - before),
+                              "scipy.optimize" in sys.modules]))
         """)
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -150,11 +152,13 @@ class TestImportBoundary:
         assert not set(self.MATCHER_STACK) & set(modules)
         assert "graphmatch.datasets" in modules
         # the exact, beam and contraction matchers and contract never load
-        # scipy; building a bipartite spec loads it, so its timed pair steps
-        # import nothing
-        loaded, imported_while_timed = json.loads(second)
-        assert loaded == [False] * 8 + [True]
+        # scipy; building a bipartite spec binds the solver extension alone,
+        # so its timed pair steps import nothing and scipy.optimize never loads
+        loaded, bound, imported_while_timed, package = json.loads(second)
+        assert loaded == [False] * 8
+        assert bound == [True, True]
         assert imported_while_timed == []
+        assert package is False
 
     def test_geometric_spec_and_a_direct_solve_load_scipy_themselves(self, tmp_path):
         code = textwrap.dedent("""
@@ -163,41 +167,99 @@ class TestImportBoundary:
             from graphmatch import datasets, geometric
             from graphmatch.bench import MatcherSpec, knn_classify
 
+            def bound():
+                return [geometric._lsap is not None, "scipy.optimize._lsap" in sys.modules,
+                        "scipy.optimize" in sys.modules]
+
             out, step = sys.argv[1], sys.argv[2]
-            loaded = ["scipy.optimize" in sys.modules]
+            loaded = [bound()]
             if step == "spec":
                 matcher = MatcherSpec("geometric(1,1,1,1,align)")
-                loaded.append("scipy.optimize" in sys.modules)
+                loaded.append(bound())
                 split = datasets.load_dataset(out + "/train.cxl", out, profile="letter")
                 before = set(sys.modules)
                 knn_classify(split, split, matcher, 1)
+                loaded.append(bound())
                 print(json.dumps([loaded, sorted(set(sys.modules) - before)]))
-            else:
+            elif step == "solve":
                 cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
                 solved = geometric.solve_lsap(cost)
-                loaded.append("scipy.optimize" in sys.modules)
+                loaded.append(bound())
                 from scipy.optimize import linear_sum_assignment
                 rows, cols = linear_sum_assignment(cost)
                 same = (solved.rows.tolist() == rows.tolist()
                         and solved.cols.tolist() == cols.tolist()
                         and solved.total_cost == float(cost[rows, cols].sum()))
-                print(json.dumps([loaded, same]))
+                print(json.dumps([loaded, same, linear_sum_assignment is geometric._lsap]))
+            else:
+                if step == "no-extension":
+                    # the loader's own lookup finds no solver extension
+                    from importlib.machinery import PathFinder
+                    find, hidden = PathFinder.find_spec, []
+
+                    def find_spec(name, *args):
+                        if name == "scipy.optimize._lsap" and not hidden:
+                            hidden.append(name)
+                            return None
+                        return find(name, *args)
+
+                    PathFinder.find_spec = find_spec
+                else:
+                    import scipy.optimize
+                MatcherSpec("bipartite")
+                print(json.dumps([loaded, sys.modules["scipy.optimize"].linear_sum_assignment
+                                  is geometric._lsap]))
         """)
         corpus, _ = synth_corpus(tmp_path, "corpus", classes=2, per_class=3)
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         results = {}
-        for step in ("spec", "solve"):
+        for step in ("spec", "solve", "package-first", "no-extension"):
             done = subprocess.run(
                 [sys.executable, "-c", code, str(corpus), step],
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
             results[step] = json.loads(done.stdout)
-        # building a geometric spec loads scipy before any distance call
-        assert results["spec"] == [[False, True], []]
-        # a solve with no spec built loads scipy itself and gives its answer
-        assert results["solve"] == [[False, True], True]
+        unbound, extension_only = [False] * 3, [True, True, False]
+        # building a geometric spec binds the solver extension before any
+        # distance call, and a full kNN run never loads scipy.optimize
+        assert results["spec"] == [[unbound, extension_only, extension_only], []]
+        # a solve with no spec built binds it itself and gives the answer of
+        # scipy.optimize's solver, which is the very same builtin
+        assert results["solve"] == [[unbound, extension_only], True, True]
+        # a process that imported scipy.optimize first reuses its solver, and
+        # a scipy whose solver is not one extension gives the package's
+        assert results["package-first"] == results["no-extension"] == [[unbound], True]
+
+    def test_a_missing_scipy_fails_only_the_assignment_matchers(self, tmp_path):
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            sys.modules["scipy"] = None
+            from graphmatch import datasets, geometric
+            from graphmatch.bench import MatcherSpec, knn_classify
+
+            out = sys.argv[1]
+            raised = []
+            for method in ("bipartite", "geometric(1,1,1,1)"):
+                try:
+                    MatcherSpec(method)
+                except ModuleNotFoundError as e:
+                    raised.append(e.name.split(".")[0])
+            split = datasets.load_dataset(out + "/train.cxl", out, profile="letter")
+            with contextlib.redirect_stdout(io.StringIO()):
+                result = knn_classify(split, split, MatcherSpec("ged"), 1)
+            print(json.dumps([raised, result.mean_accuracy, geometric._lsap is None]))
+        """)
+        corpus, _ = synth_corpus(tmp_path, "corpus", classes=2, per_class=3)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(corpus)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [["scipy", "scipy"], 100.0, True]
 
     def test_synth_calls_the_module_attributes(self, monkeypatch, tmp_path):
         # wrappers set on the cli module must see every call synth makes

@@ -4,11 +4,10 @@ Graphs have 0-6 vertices, any edge set, and symbol, 2-D vector or empty
 vertex and edge labels, drawn from coarse grids so that ties occur; the
 cost constants differ from one another.  Each property is pinned as the
 code behaves: a failure is a defect of the matcher, not of the strategy.
-The bipartite matcher fails the storage-order property, at unit costs on
-unlabelled graphs too, so that case is a strict xfail that runs the
-smallest known counterexample first.  Runs are derandomized, keep no
-example database and have no deadline, so they repeat exactly on a loaded
-machine.
+The storage-order property runs first the smallest graphs on which the
+bipartite matcher once broke a tie by stored vertex order.  Runs are
+derandomized, keep no example database and have no deadline, so they
+repeat exactly on a loaded machine.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ def stored_both_ways(draw):
 
 
 # a path 2-1-3 beside an isolated vertex 0 against one edge, unlabelled, at unit
-# costs: the bipartite assignment ties, and which tied assignment the solver
-# takes follows g1's stored order; the induced path costs 5 stored as (0, 1, 2,
-# 3) and 3, the exact distance, stored as (0, 2, 1, 3)
+# costs: the bipartite assignment ties; while the solver took tied assignments
+# in g1's stored order, the induced path cost 5 stored as (0, 1, 2, 3) and 3,
+# the exact distance, stored as (0, 2, 1, 3); in id order both cost 5
 _PATH_AND_EDGE = (
     AttributedGraph(range(4), [(1, 2), (1, 3)]),
     AttributedGraph(range(2), [(0, 1)]),
@@ -114,13 +113,7 @@ def test_beam_never_rises_with_its_width(g1, g2, p):
         "ged",
         "hged",
         "kstar-ged(1)",
-        pytest.param(
-            "bipartite",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="defect: a tied bipartite assignment is broken by stored vertex order",
-            ),
-        ),
+        "bipartite",
     ],
 )
 @_settings

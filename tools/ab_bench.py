@@ -35,10 +35,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib.metadata import version
 from pathlib import Path
-
-import numpy
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
@@ -232,8 +230,8 @@ def main(argv=None) -> int:
         "environment": {
             "nproc": nproc,
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "numpy": version("numpy"),
+            "scipy": version("scipy"),
             "note": f"{nproc}-core machine, shared and noisy: other jobs may run "
                     "beside these runs, so absolute rates move from run to run; "
                     "compare within pairs and across medians, never single runs",
